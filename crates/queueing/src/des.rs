@@ -252,7 +252,9 @@ pub struct LatencyCdf {
 
 impl LatencyCdf {
     fn from_samples(mut samples: Vec<f64>) -> Self {
-        samples.sort_by(f64::total_cmp);
+        // Unstable is bit-identical here: `total_cmp` calls two samples
+        // equal only when their bits are equal.
+        samples.sort_unstable_by(f64::total_cmp);
         Self { samples }
     }
 
@@ -279,12 +281,7 @@ impl LatencyCdf {
     /// `q` outside `(0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() || !(q > 0.0) || q > 1.0 {
-            return None;
-        }
-        let n = self.samples.len();
-        let rank = (q * n as f64).ceil() as usize;
-        Some(self.samples[rank.clamp(1, n) - 1])
+        quantile_index(q, self.samples.len()).map(|i| self.samples[i])
     }
 
     /// Median (p50).
@@ -320,6 +317,25 @@ impl LatencyCdf {
             Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
         }
     }
+}
+
+/// Zero-based position of the `q`-quantile among `n` ordered samples:
+/// `rank = ⌈q·n⌉`, so the smallest sample with at least `q·n` samples
+/// `≤` it. `None` when `n == 0` or `q` lies outside `(0, 1]`.
+fn quantile_index(q: f64, n: usize) -> Option<usize> {
+    if n == 0 || !(q > 0.0) || q > 1.0 {
+        return None;
+    }
+    let rank = (q * n as f64).ceil() as usize;
+    Some(rank.clamp(1, n) - 1)
+}
+
+/// The `q`-quantile of unordered `samples` by linear-time selection
+/// (reorders them). Bit-identical to [`LatencyCdf::quantile`] over the
+/// same samples: `total_cmp` is a total order on bit patterns.
+fn select_quantile(samples: &mut [f64], q: f64) -> Option<f64> {
+    let i = quantile_index(q, samples.len())?;
+    Some(*samples.select_nth_unstable_by(i, f64::total_cmp).1)
 }
 
 /// Result of one request-level simulation.
@@ -380,48 +396,54 @@ fn rss_core(flow: u32, cores: u32) -> usize {
     (flow as usize % RSS_TABLE_ENTRIES) % cores as usize
 }
 
-/// Run the request-level simulation.
-///
-/// Arrivals are generated in time order, so each stage is simulated with
-/// per-core deques instead of a global event heap; stage-2 arrivals are
-/// re-sorted per application core by `(time, sequence)` to keep the run
-/// deterministic. Same `cfg` ⇒ bit-identical [`DesOutcome`].
-pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
-    cfg.validate()?;
+/// Each request's `(arrival time, flow, application service)`, drawn in
+/// arrival order as the stages consume them. A request takes its three
+/// draws before the next request's, so the seeded stream is the same
+/// however the stages interleave.
+fn arrivals(cfg: &DesConfig) -> impl Iterator<Item = (f64, u32, f64)> {
+    let cfg = *cfg;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-    // Draw all arrivals up front: time, flow, and application service.
-    // One pass in arrival order fixes the RNG stream regardless of how
-    // the stages interleave.
-    let n = cfg.n_requests as usize;
     let mut clock = 0.0f64;
-    let mut arrivals = Vec::with_capacity(n);
-    for _ in 0..n {
+    (0..cfg.n_requests).map(move |_| {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         clock += -u.ln() / cfg.pps; // exponential inter-arrival
         let flow = rng.gen_range(0..cfg.flows);
         let app_service = cfg.service.sample(&mut rng);
-        arrivals.push((clock, flow, app_service));
-    }
+        (clock, flow, app_service)
+    })
+}
 
+/// Drop count and horizon of one run of [`run_stages`].
+struct StageTally {
+    dropped: u64,
+    duration_s: f64,
+}
+
+/// The one stage runner behind [`simulate`] and [`sojourn_quantile`]:
+/// streams the arrivals of a validated `cfg` through its layout and hands
+/// each completed request's `(sojourn, wait)` to `done`.
+///
+/// Arrivals come in time order, so each stage is simulated with per-core
+/// deques instead of a global event heap; stage-2 arrivals are re-sorted
+/// per application core by `(time, sequence)` to keep the run
+/// deterministic.
+fn run_stages(cfg: &DesConfig, mut done: impl FnMut(f64, f64)) -> StageTally {
     let mut dropped = 0u64;
     let mut duration_s = 0.0f64;
-    let mut sojourn = Vec::with_capacity(n);
-    let mut wait = Vec::with_capacity(n);
+    let mut complete = |depart: f64, sojourn: f64, wait: f64| {
+        duration_s = duration_s.max(depart);
+        done(sojourn, wait);
+    };
 
     match cfg.layout {
         CoreLayout::Combined { cores } => {
             let mut queues: Vec<CoreQueue> =
                 (0..cores).map(|_| CoreQueue::new(cfg.queue_cap)).collect();
-            for &(t, flow, app_service) in &arrivals {
+            for (t, flow, app_service) in arrivals(cfg) {
                 let service = cfg.net_cost_s + app_service;
                 match queues[rss_core(flow, cores)].offer(t, service) {
                     None => dropped += 1,
-                    Some(depart) => {
-                        sojourn.push(depart - t);
-                        wait.push(depart - t - service);
-                        duration_s = duration_s.max(depart);
-                    }
+                    Some(depart) => complete(depart, depart - t, depart - t - service),
                 }
             }
         }
@@ -436,7 +458,7 @@ pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
             // (app arrival, sequence, original arrival, app service)
             let mut handoff: Vec<Vec<(f64, usize, f64, f64)>> =
                 vec![Vec::new(); app_cores as usize];
-            for (seq, &(t, flow, app_service)) in arrivals.iter().enumerate() {
+            for (seq, (t, flow, app_service)) in arrivals(cfg).enumerate() {
                 match net[rss_core(flow, net_cores)].offer(t, cfg.net_cost_s) {
                     None => dropped += 1,
                     Some(net_depart) => {
@@ -451,46 +473,97 @@ pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
             }
             // Stage 2: application cores. Per-core arrivals are sorted by
             // (time, sequence) — stage-1 departures are not globally
-            // ordered across net cores.
+            // ordered across net cores. The sequence is unique, so an
+            // unstable sort gives the same order.
             let mut apps: Vec<CoreQueue> = (0..app_cores)
                 .map(|_| CoreQueue::new(cfg.queue_cap))
                 .collect();
             for (core, list) in handoff.iter_mut().enumerate() {
-                list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 for &(at, _seq, t0, app_service) in list.iter() {
                     match apps[core].offer(at, app_service) {
                         None => dropped += 1,
-                        Some(depart) => {
-                            sojourn.push(depart - t0);
-                            wait.push(depart - t0 - cfg.net_cost_s - app_service);
-                            duration_s = duration_s.max(depart);
-                        }
+                        Some(depart) => complete(
+                            depart,
+                            depart - t0,
+                            depart - t0 - cfg.net_cost_s - app_service,
+                        ),
                     }
                 }
             }
         }
     }
-
-    let completed = sojourn.len() as u64;
-    let out = DesOutcome {
-        offered: cfg.n_requests,
-        completed,
+    StageTally {
         dropped,
-        sojourn: LatencyCdf::from_samples(sojourn),
-        wait: LatencyCdf::from_samples(wait),
         duration_s,
-    };
+    }
+}
+
+/// Emit the `des_run` event of one run. `quantile` reads the run's
+/// sojourn quantiles and is only called while a sink is installed.
+fn emit_des_run(
+    cfg: &DesConfig,
+    completed: u64,
+    tally: &StageTally,
+    mut quantile: impl FnMut(f64) -> Option<f64>,
+) {
     hecmix_obs::emit(|| hecmix_obs::Event::DesRun {
         pps: cfg.pps,
         requests: cfg.n_requests,
-        completed: out.completed,
-        dropped: out.dropped,
-        p50_s: out.sojourn.p50().unwrap_or(f64::NAN),
-        p99_s: out.sojourn.p99().unwrap_or(f64::NAN),
-        duration_s: out.duration_s,
+        completed,
+        dropped: tally.dropped,
+        p50_s: quantile(0.50).unwrap_or(f64::NAN),
+        p99_s: quantile(0.99).unwrap_or(f64::NAN),
+        duration_s: tally.duration_s,
         seed: cfg.seed,
     });
+}
+
+/// Run the request-level simulation and build both latency CDFs.
+///
+/// Same `cfg` ⇒ bit-identical [`DesOutcome`].
+///
+/// # Errors
+/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
+pub fn simulate(cfg: &DesConfig) -> Result<DesOutcome> {
+    cfg.validate()?;
+    let n = cfg.n_requests as usize;
+    let mut sojourn = Vec::with_capacity(n);
+    let mut wait = Vec::with_capacity(n);
+    let tally = run_stages(cfg, |s, w| {
+        sojourn.push(s);
+        wait.push(w);
+    });
+    let out = DesOutcome {
+        offered: cfg.n_requests,
+        completed: sojourn.len() as u64,
+        dropped: tally.dropped,
+        sojourn: LatencyCdf::from_samples(sojourn),
+        wait: LatencyCdf::from_samples(wait),
+        duration_s: tally.duration_s,
+    };
+    emit_des_run(cfg, out.completed, &tally, |q| out.sojourn.quantile(q));
     Ok(out)
+}
+
+/// One sojourn-time quantile of the run `cfg` describes:
+/// `simulate(cfg)?.sojourn.quantile(q)` bit for bit, with the same
+/// `des_run` event, for callers that need a single order statistic.
+///
+/// Only the sojourn times are kept (no wait samples, no CDF), and the
+/// order statistic is selected in linear time instead of sorting.
+/// `Ok(None)` for `q` outside `(0, 1]`.
+///
+/// # Errors
+/// [`Error::InvalidInput`] when `cfg` fails [`DesConfig::validate`].
+pub fn sojourn_quantile(cfg: &DesConfig, q: f64) -> Result<Option<f64>> {
+    cfg.validate()?;
+    let mut sojourn = Vec::with_capacity(cfg.n_requests as usize);
+    let tally = run_stages(cfg, |s, _| sojourn.push(s));
+    emit_des_run(cfg, sojourn.len() as u64, &tally, |p| {
+        select_quantile(&mut sojourn, p)
+    });
+    Ok(select_quantile(&mut sojourn, q))
 }
 
 #[cfg(test)]
@@ -725,6 +798,96 @@ mod tests {
         .is_err());
         assert!(simulate(&DesConfig { queue_cap: 0, ..ok }).is_err());
         assert!(simulate(&DesConfig { flows: 0, ..ok }).is_err());
+    }
+
+    /// `sojourn_quantile` is the sort-based quantile bit for bit, and its
+    /// `des_run` event is the same line, over seeded random configs: both
+    /// layouts, every service shape, bounded caps that drop (so `n` is
+    /// not `n_requests`) and unbounded ones.
+    #[test]
+    fn sojourn_quantile_is_bit_identical_to_simulate() {
+        use std::sync::Arc;
+
+        let ring = Arc::new(hecmix_obs::RingSink::new(1 << 14));
+        hecmix_obs::install(ring.clone());
+        let mut gen = SmallRng::seed_from_u64(0x5e1e_c7ed);
+        // Seeds far from every other test's, so the events of this test
+        // can be told apart from those of tests running beside it.
+        let base_seed = 0xde5_0000_0000u64;
+        let mut dropping = 0;
+        for case in 0..96u64 {
+            let service = match case % 3 {
+                0 => ServiceDist::Constant(gen.gen_range(20e-6..200e-6)),
+                1 => ServiceDist::Exponential(gen.gen_range(20e-6..200e-6)),
+                _ => ServiceDist::Bimodal {
+                    fast_s: gen.gen_range(10e-6..60e-6),
+                    slow_s: gen.gen_range(100e-6..600e-6),
+                    slow_weight: gen.gen_range(0.0..0.3),
+                },
+            };
+            let layout = if case % 2 == 0 {
+                CoreLayout::Combined {
+                    cores: gen.gen_range(1..5),
+                }
+            } else {
+                CoreLayout::Dedicated {
+                    net_cores: gen.gen_range(1..3),
+                    app_cores: gen.gen_range(1..4),
+                }
+            };
+            let cores = match layout {
+                CoreLayout::Combined { cores } => cores,
+                CoreLayout::Dedicated { app_cores, .. } => app_cores,
+            };
+            let cfg = DesConfig {
+                // ρ from light load to overload, per core.
+                pps: gen.gen_range(0.2..1.6) * f64::from(cores) / service.mean_s(),
+                n_requests: gen.gen_range(1..3_000),
+                layout,
+                service,
+                net_cost_s: if gen.gen_bool(0.5) { 0.0 } else { 5e-6 },
+                queue_cap: if case % 4 < 2 {
+                    gen.gen_range(1..12)
+                } else {
+                    UNBOUNDED
+                },
+                flows: gen.gen_range(1..300),
+                seed: base_seed + case,
+            };
+            let reference = simulate(&cfg).unwrap();
+            if reference.dropped > 0 {
+                dropping += 1;
+            }
+            for q in [1e-6, 0.5, 0.99, 0.999, 1.0, 0.0, -0.5, 1.5, f64::NAN] {
+                let want = reference.sojourn.quantile(q);
+                let got = sojourn_quantile(&cfg, q).unwrap();
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "case {case} q {q}: {cfg:?}"
+                );
+                assert_eq!(got.is_none(), !(q > 0.0 && q <= 1.0), "q {q}");
+            }
+            let lines: Vec<String> = ring
+                .events()
+                .iter()
+                .filter(
+                    |e| matches!(e, hecmix_obs::Event::DesRun { seed, .. } if *seed == cfg.seed),
+                )
+                .map(hecmix_obs::Event::to_json)
+                .collect();
+            assert_eq!(
+                lines.len(),
+                10,
+                "case {case}: one simulate + nine quantile runs"
+            );
+            assert!(
+                lines.iter().all(|l| *l == lines[0]),
+                "case {case}: des_run lines differ: {lines:?}"
+            );
+        }
+        hecmix_obs::uninstall();
+        assert!(dropping >= 10, "only {dropping} cases dropped requests");
     }
 
     #[test]

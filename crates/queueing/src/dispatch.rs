@@ -361,17 +361,20 @@ fn des_tail(
     n_requests: u64,
     seed: u64,
 ) -> Result<f64> {
-    let out = des::simulate(&DesConfig {
-        pps: lambda,
-        n_requests,
-        layout: des::CoreLayout::Combined { cores: 1 },
-        service: ServiceDist::Constant(service_s),
-        net_cost_s: 0.0,
-        queue_cap: des::UNBOUNDED,
-        flows: 1,
-        seed,
-    })?;
-    out.sojourn.quantile(percentile).ok_or_else(|| {
+    let tail = des::sojourn_quantile(
+        &DesConfig {
+            pps: lambda,
+            n_requests,
+            layout: des::CoreLayout::Combined { cores: 1 },
+            service: ServiceDist::Constant(service_s),
+            net_cost_s: 0.0,
+            queue_cap: des::UNBOUNDED,
+            flows: 1,
+            seed,
+        },
+        percentile,
+    )?;
+    tail.ok_or_else(|| {
         Error::InvalidInput(format!(
             "DES produced no completions for percentile {percentile}"
         ))
@@ -1335,6 +1338,66 @@ mod tests {
             .unwrap()
         };
         assert_eq!(run(), run(), "same seed must replay bit-for-bit");
+    }
+
+    /// Golden pins for the production DES sizing: the chosen entry, the
+    /// run tally and the exact tail bits recorded from the sort-based
+    /// quantile path. Any change to the RNG draw order, the queue
+    /// arithmetic or the order-statistic rule moves at least one of them.
+    #[test]
+    fn tail_choice_golden_pins() {
+        let ladder = |services: &[f64]| -> Vec<ConfigChoice> {
+            services
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| ConfigChoice {
+                    label: format!("s{i}"),
+                    service_s: s,
+                    job_energy_j: 4.0 + 100.0 * (0.2 - s),
+                    idle_power_w: 50.0,
+                })
+                .collect()
+        };
+        let two = menu();
+        let three = ladder(&[0.10, 0.12, 0.14]);
+        // (menu, λ, deadline, index, des_runs, screened_out, violated, tail bits)
+        let cases = [
+            // The cheap entry passes on its first coarse + exact pair.
+            (&two, 1.0, 2.0, 1, 2, 0, false, 0x3ff6_8f21_313e_0000),
+            // Every mean passes the screen, every DES tail misses (the
+            // fastest entry only at exact resolution): the smallest
+            // observed tail comes back flagged.
+            (&three, 4.0, 0.33, 0, 4, 0, true, 0x3fd6_9fc4_fbf9_0000),
+            // Every mean already misses: screened out with no coarse run,
+            // the fastest entry is measured once at exact resolution.
+            (&two, 0.5, 0.001, 0, 1, 2, true, 0x3f9e_7f97_ed00_0000),
+        ];
+        for (i, &(m, lambda, deadline, index, runs, screened, violated, bits)) in
+            cases.iter().enumerate()
+        {
+            let out = best_choice_tail(
+                m,
+                lambda,
+                3600.0,
+                TailTarget::new(0.99, deadline).unwrap(),
+                &TailDesConfig::default(),
+            )
+            .unwrap()
+            .unwrap();
+            let got = (
+                out.index,
+                out.des_runs,
+                out.screened_out,
+                out.violated,
+                out.tail_response_s.to_bits(),
+            );
+            assert_eq!(
+                got,
+                (index, runs, screened, violated, bits),
+                "case {i}: tail {}",
+                out.tail_response_s
+            );
+        }
     }
 
     #[test]
