@@ -223,34 +223,47 @@ pub fn best_choice(
     for c in menu {
         validate_choice("menu entry", c)?;
     }
-    let mut best_ok: Option<(usize, f64, f64)> = None; // (idx, energy, response)
-    let mut best_fallback: Option<(usize, f64, f64)> = None; // fastest response
-    for (idx, c) in menu.iter().enumerate() {
-        let Ok(we) = window_energy(
+    let priced = menu.iter().enumerate().filter_map(|(idx, c)| {
+        // Saturated entries are not candidates at all.
+        let we = window_energy(
             lambda,
             window_s,
             c.service_s,
             c.job_energy_j,
             c.idle_power_w,
-        ) else {
-            continue; // saturated
-        };
-        let e = we.total_j();
-        if we.response_s <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
-            best_ok = Some((idx, e, we.response_s));
+        )
+        .ok()?;
+        Some((idx, we.total_j(), we.response_s, we.response_s))
+    });
+    Ok(cheapest_feasible_else_fastest(priced, slo_response_s))
+}
+
+/// The selection rule [`best_choice`], [`best_choice_parking`] and
+/// [`best_choice_resilient`] share. Each candidate is
+/// `(index, energy, response, fallback rank)`: the cheapest candidate whose
+/// `response` meets the SLO wins as `(index, energy, response, false)`;
+/// when none does, the one with the smallest `fallback rank` is returned as
+/// `(index, energy, rank, true)`. Ties keep the earlier candidate. `None`
+/// only when there are no candidates.
+fn cheapest_feasible_else_fastest(
+    priced: impl Iterator<Item = (usize, f64, f64, f64)>,
+    slo_response_s: f64,
+) -> Option<(usize, f64, f64, bool)> {
+    let mut best_ok: Option<(usize, f64, f64)> = None;
+    let mut best_fallback: Option<(usize, f64, f64)> = None;
+    for (idx, e, response, rank) in priced {
+        if response <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
+            best_ok = Some((idx, e, response));
         }
-        if best_fallback
-            .as_ref()
-            .is_none_or(|(_, _, br)| we.response_s < *br)
-        {
-            best_fallback = Some((idx, e, we.response_s));
+        if best_fallback.as_ref().is_none_or(|(_, _, br)| rank < *br) {
+            best_fallback = Some((idx, e, rank));
         }
     }
-    Ok(match (best_ok, best_fallback) {
+    match (best_ok, best_fallback) {
         (Some((i, e, r)), _) => Some((i, e, r, false)),
         (None, Some((i, e, r))) => Some((i, e, r, true)),
         (None, None) => None,
-    })
+    }
 }
 
 /// A percentile deadline: "the `percentile` quantile of the response time
@@ -503,10 +516,6 @@ pub fn best_choice_tail(
         f.des_runs = des_runs;
     }
 
-    // Fallback when nothing passed: if every survivor was also screened
-    // away without a DES run (impossible here since survivors got runs),
-    // or the menu only had screened-out entries, measure the fastest
-    // screened entry so the caller still sees a concrete tail.
     let result = match (chosen, fallback) {
         (Some(c), _) => Some(c),
         (None, Some(f)) => Some(f),
@@ -580,12 +589,25 @@ pub fn run_day(
     profile: &DiurnalProfile,
     slo_response_s: f64,
 ) -> Result<DayOutcome> {
+    day_loop(profile, false, |lambda| {
+        best_choice(menu, lambda, profile.slot_s, slo_response_s)
+    })
+}
+
+/// The one diurnal day loop behind [`run_day`], [`run_day_parking`] and
+/// [`run_day_resilient`]: `choose` picks each slot's configuration from its
+/// `λ`, and `resilient` is the flag every `dispatch_decision` event carries.
+fn day_loop(
+    profile: &DiurnalProfile,
+    resilient: bool,
+    choose: impl Fn(f64) -> Result<Option<(usize, f64, f64, bool)>>,
+) -> Result<DayOutcome> {
     let mut slots = Vec::with_capacity(profile.slots as usize);
     let mut energy_j = 0.0;
     let mut violations = 0;
     for slot in 0..profile.slots {
         let lambda = profile.lambda_at(slot);
-        match best_choice(menu, lambda, profile.slot_s, slo_response_s)? {
+        match choose(lambda)? {
             Some((choice, e, response_s, violated)) => {
                 hecmix_obs::emit(|| hecmix_obs::Event::DispatchDecision {
                     slot: slot as usize,
@@ -594,7 +616,7 @@ pub fn run_day(
                     energy_j: e,
                     response_s,
                     violated,
-                    resilient: false,
+                    resilient,
                 });
                 energy_j += e;
                 violations += u32::from(violated);
@@ -671,9 +693,7 @@ pub fn best_choice_parking(
             }
         }
     }
-    let mut best_ok: Option<(usize, f64, f64)> = None;
-    let mut best_fallback: Option<(usize, f64, f64)> = None;
-    for (idx, p) in menu.iter().enumerate() {
+    let priced = menu.iter().enumerate().filter_map(|(idx, p)| {
         let c = &p.choice;
         let we = match &p.sleep {
             Some(sleep) => window_energy_sleep(
@@ -692,25 +712,10 @@ pub fn best_choice_parking(
                 c.idle_power_w,
             ),
         };
-        let Ok(we) = we else {
-            continue; // saturated
-        };
-        let e = we.total_j();
-        if we.response_s <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be) {
-            best_ok = Some((idx, e, we.response_s));
-        }
-        if best_fallback
-            .as_ref()
-            .is_none_or(|(_, _, br)| we.response_s < *br)
-        {
-            best_fallback = Some((idx, e, we.response_s));
-        }
-    }
-    Ok(match (best_ok, best_fallback) {
-        (Some((i, e, r)), _) => Some((i, e, r, false)),
-        (None, Some((i, e, r))) => Some((i, e, r, true)),
-        (None, None) => None,
-    })
+        let we = we.ok()?; // saturated
+        Some((idx, we.total_j(), we.response_s, we.response_s))
+    });
+    Ok(cheapest_feasible_else_fastest(priced, slo_response_s))
 }
 
 /// [`run_day`] over a parkable menu: diurnal dispatch that may park whole
@@ -723,50 +728,8 @@ pub fn run_day_parking(
     profile: &DiurnalProfile,
     slo_response_s: f64,
 ) -> Result<DayOutcome> {
-    let mut slots = Vec::with_capacity(profile.slots as usize);
-    let mut energy_j = 0.0;
-    let mut violations = 0;
-    for slot in 0..profile.slots {
-        let lambda = profile.lambda_at(slot);
-        match best_choice_parking(menu, lambda, profile.slot_s, slo_response_s)? {
-            Some((choice, e, response_s, violated)) => {
-                hecmix_obs::emit(|| hecmix_obs::Event::DispatchDecision {
-                    slot: slot as usize,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                    resilient: false,
-                });
-                energy_j += e;
-                violations += u32::from(violated);
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                });
-            }
-            None => {
-                violations += 1;
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice: usize::MAX,
-                    energy_j: 0.0,
-                    response_s: f64::INFINITY,
-                    violated: true,
-                });
-            }
-        }
-    }
-    Ok(DayOutcome {
-        energy_j,
-        violations,
-        slots,
+    day_loop(profile, false, |lambda| {
+        best_choice_parking(menu, lambda, profile.slot_s, slo_response_s)
     })
 }
 
@@ -821,19 +784,16 @@ pub fn best_choice_resilient(
             )));
         }
     }
-    let mut best_ok: Option<(usize, f64, f64)> = None; // (idx, energy, degraded response)
-    let mut best_fallback: Option<(usize, f64, f64)> = None; // fastest degraded response
-    for (idx, c) in menu.iter().enumerate() {
-        let Ok(nominal) = window_energy(
+    let priced = menu.iter().enumerate().filter_map(|(idx, c)| {
+        // Saturated even with every node up: not a candidate.
+        let nominal = window_energy(
             lambda,
             window_s,
             c.nominal.service_s,
             c.nominal.job_energy_j,
             c.nominal.idle_power_w,
-        ) else {
-            continue; // saturated even with every node up
-        };
-        let e = nominal.total_j();
+        )
+        .ok()?;
         // The degraded queue may be saturated where the nominal one is
         // not; such an entry survives only as a (violating) fallback,
         // ranked by its nominal response.
@@ -845,24 +805,14 @@ pub fn best_choice_resilient(
             c.nominal.idle_power_w,
         )
         .map_or(f64::INFINITY, |we| we.response_s);
-        if degraded_response <= slo_response_s && best_ok.as_ref().is_none_or(|(_, be, _)| e < *be)
-        {
-            best_ok = Some((idx, e, degraded_response));
-        }
         let rank = if degraded_response.is_finite() {
             degraded_response
         } else {
             nominal.response_s
         };
-        if best_fallback.as_ref().is_none_or(|(_, _, br)| rank < *br) {
-            best_fallback = Some((idx, e, rank));
-        }
-    }
-    Ok(match (best_ok, best_fallback) {
-        (Some((i, e, r)), _) => Some((i, e, r, false)),
-        (None, Some((i, e, r))) => Some((i, e, r, true)),
-        (None, None) => None,
-    })
+        Some((idx, nominal.total_j(), degraded_response, rank))
+    });
+    Ok(cheapest_feasible_else_fastest(priced, slo_response_s))
 }
 
 /// Run a whole day under a failure-aware menu: every slot is provisioned
@@ -877,50 +827,8 @@ pub fn run_day_resilient(
     profile: &DiurnalProfile,
     slo_response_s: f64,
 ) -> Result<DayOutcome> {
-    let mut slots = Vec::with_capacity(profile.slots as usize);
-    let mut energy_j = 0.0;
-    let mut violations = 0;
-    for slot in 0..profile.slots {
-        let lambda = profile.lambda_at(slot);
-        match best_choice_resilient(menu, lambda, profile.slot_s, slo_response_s)? {
-            Some((choice, e, response_s, violated)) => {
-                hecmix_obs::emit(|| hecmix_obs::Event::DispatchDecision {
-                    slot: slot as usize,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                    resilient: true,
-                });
-                energy_j += e;
-                violations += u32::from(violated);
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice,
-                    energy_j: e,
-                    response_s,
-                    violated,
-                });
-            }
-            None => {
-                violations += 1;
-                slots.push(SlotOutcome {
-                    slot,
-                    lambda,
-                    choice: usize::MAX,
-                    energy_j: 0.0,
-                    response_s: f64::INFINITY,
-                    violated: true,
-                });
-            }
-        }
-    }
-    Ok(DayOutcome {
-        energy_j,
-        violations,
-        slots,
+    day_loop(profile, true, |lambda| {
+        best_choice_resilient(menu, lambda, profile.slot_s, slo_response_s)
     })
 }
 
@@ -1243,6 +1151,50 @@ mod tests {
             .unwrap();
         assert_eq!(idx, 0);
         assert!(violated);
+    }
+
+    /// Golden pins for the three day loops on one profile that reaches
+    /// every slot outcome: the cheap entry in the trough, the fast one
+    /// in the shoulders, fastest-fallback violations near the peak and
+    /// saturated slots at it. The resilient menu's degraded queues
+    /// saturate first, so its fallback ranks by nominal response.
+    /// Each slot is `choice` (`-` when saturated), `!` when violated.
+    #[test]
+    fn day_loops_golden_pins() {
+        let profile = DiurnalProfile::new(21.0, 0.93, 24, 600.0).unwrap();
+        let slo = 2.0;
+        let signature = |day: &DayOutcome| -> (u64, u32, String) {
+            let slots: Vec<String> = day
+                .slots
+                .iter()
+                .map(|s| {
+                    let choice = if s.choice == usize::MAX {
+                        "-".to_string()
+                    } else {
+                        s.choice.to_string()
+                    };
+                    format!("{choice}{}", if s.violated { "!" } else { "" })
+                })
+                .collect();
+            (day.energy_j.to_bits(), day.violations, slots.join(" "))
+        };
+        let plain_slots = "0 0 0 0 0 0! -! 0! 0 0 0 0 0 0 0 0 0 1 1 1 0 0 0 0";
+        assert_eq!(
+            signature(&run_day(&menu(), &profile, slo).unwrap()),
+            (4_711_159_474_369_773_878, 3, plain_slots.to_string())
+        );
+        assert_eq!(
+            signature(&run_day_parking(&parkable_menu(), &profile, slo).unwrap()),
+            (4_709_655_385_056_714_223, 3, plain_slots.to_string())
+        );
+        assert_eq!(
+            signature(&run_day_resilient(&resilient_menu(), &profile, slo).unwrap()),
+            (
+                4_711_821_018_954_465_280,
+                7,
+                "0 0 0 0! 0! 0! -! 0! 0! 0! 0 0 0 0 0 0 0 0 0 0 0 0 0 0".to_string()
+            )
+        );
     }
 
     fn quick_des() -> TailDesConfig {

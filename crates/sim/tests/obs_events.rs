@@ -8,6 +8,8 @@
 
 use std::sync::Arc;
 
+use hecmix_obs::json::{self, Value};
+
 use hecmix_sim::{
     reference_amd_arch, reference_arm_arch, run_cluster_faulted, ClusterSpec, FaultSchedule,
     RecoveryPolicy, TypeAssignment, UnitDemand, WorkloadTrace,
@@ -53,37 +55,29 @@ fn small_cluster(units: u64, seed: u64) -> ClusterSpec {
     }
 }
 
-/// Pull `"field":<number>` out of a single-line JSON record. Good enough
-/// for the flat objects the sink writes; not a general parser.
-fn num_field(line: &str, field: &str) -> f64 {
-    let needle = format!("\"{field}\":");
-    let at = line
-        .find(&needle)
-        .unwrap_or_else(|| panic!("field {field:?} missing from {line}"));
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or_else(|| panic!("unterminated field {field:?} in {line}"));
-    rest[..end]
-        .trim()
-        .parse::<f64>()
-        .unwrap_or_else(|e| panic!("field {field:?} in {line}: {e}"))
+fn num_field(record: &Value, field: &str) -> f64 {
+    record
+        .get(field)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("field {field:?} missing or not a number in {record:?}"))
 }
 
-fn u64_field(line: &str, field: &str) -> u64 {
-    let v = num_field(line, field);
-    assert!(
-        v.fract() == 0.0 && v >= 0.0,
-        "field {field:?} not a u64: {v}"
-    );
-    v as u64
+fn u64_field(record: &Value, field: &str) -> u64 {
+    record
+        .get(field)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("field {field:?} missing or not a u64 in {record:?}"))
 }
 
-fn kind_of(line: &str) -> &str {
-    let rest = line
-        .strip_prefix("{\"kind\":\"")
-        .unwrap_or_else(|| panic!("record does not start with a kind tag: {line}"));
-    &rest[..rest.find('"').expect("unterminated kind tag")]
+/// The record's `"kind"` tag, which the encoder writes as the first key.
+fn kind_of(record: &Value) -> &str {
+    match record {
+        Value::Object(fields) => match fields.first() {
+            Some((key, Value::Str(kind))) if key == "kind" => kind,
+            _ => panic!("record does not start with a kind tag: {record:?}"),
+        },
+        _ => panic!("not a JSON object: {record:?}"),
+    }
 }
 
 #[test]
@@ -105,22 +99,26 @@ fn jsonl_trace_of_faulted_run_replays_to_exact_totals() {
 
     let raw = std::fs::read_to_string(&trace_path).expect("read trace");
     std::fs::remove_file(&trace_path).ok();
-    let lines: Vec<&str> = raw.lines().collect();
-    assert!(!lines.is_empty(), "trace is empty");
-    for line in &lines {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not a JSON object line: {line}"
-        );
-    }
+    let records: Vec<Value> = raw
+        .lines()
+        .map(|line| {
+            let record = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert!(
+                matches!(record, Value::Object(_)),
+                "not a JSON object line: {line}"
+            );
+            record
+        })
+        .collect();
+    assert!(!records.is_empty(), "trace is empty");
 
     // Exactly one run-start and one run-end, in order, and they bracket
     // the fault lifecycle events.
-    let starts: Vec<&&str> = lines
+    let starts: Vec<&Value> = records
         .iter()
         .filter(|l| kind_of(l) == "faulted_run_start")
         .collect();
-    let ends: Vec<&&str> = lines
+    let ends: Vec<&Value> = records
         .iter()
         .filter(|l| kind_of(l) == "faulted_run_end")
         .collect();
@@ -132,12 +130,12 @@ fn jsonl_trace_of_faulted_run_replays_to_exact_totals() {
     // Per-crash lifecycle: each CrashRecord appears as a crash +
     // heartbeat_timeout + redistribution triple with matching identity and
     // conserved work: moved + abandoned == leftover.
-    let crashes: Vec<&&str> = lines.iter().filter(|l| kind_of(l) == "crash").collect();
-    let detections: Vec<&&str> = lines
+    let crashes: Vec<&Value> = records.iter().filter(|l| kind_of(l) == "crash").collect();
+    let detections: Vec<&Value> = records
         .iter()
         .filter(|l| kind_of(l) == "heartbeat_timeout")
         .collect();
-    let redists: Vec<&&str> = lines
+    let redists: Vec<&Value> = records
         .iter()
         .filter(|l| kind_of(l) == "redistribution")
         .collect();
@@ -169,7 +167,7 @@ fn jsonl_trace_of_faulted_run_replays_to_exact_totals() {
     }
 
     // Per-receiver shares sum to the moved totals.
-    let share_total: u64 = lines
+    let share_total: u64 = records
         .iter()
         .filter(|l| kind_of(l) == "redistribution_share")
         .map(|l| u64_field(l, "units"))
