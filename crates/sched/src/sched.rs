@@ -4,13 +4,27 @@
 //! ## Event loop
 //!
 //! The engine is a deterministic virtual-time discrete-event loop. Every
-//! event carries a `(time, priority, sequence)` key and the heap pops in
-//! strictly ascending key order; at equal times completions run before
-//! faults, faults before arrivals, arrivals before ticks. The sequence
-//! number is the push order, itself a pure function of the input stream,
-//! so two runs over the same `(pool, config, jobs, faults)` replay the
-//! same decisions bit for bit — there is no wall clock, no `HashMap`
-//! iteration, and no randomness anywhere in the loop.
+//! event carries a `(time, priority, sequence)` key and the loop runs
+//! events in strictly ascending key order; at equal times completions run
+//! before faults, faults before arrivals, arrivals before ticks. Events
+//! come from three sources, merged on `(time, priority)` at every step:
+//!
+//! - **arrivals** stream from a cursor over the job indices, stably sorted
+//!   by arrival time (equal times keep input order; already-sorted input
+//!   is used as is, without a sort);
+//! - **faults** stream from a cursor over the schedule sorted by
+//!   `(time, node, input position)`, so the replay does not depend on the
+//!   schedule's vector order;
+//! - **a heap** holds only completions and the one pending tick; its
+//!   sequence number is the push order, which breaks ties among
+//!   completions.
+//!
+//! The priorities of the three sources differ, so the merge needs no
+//! sequence number across them. Heap and reservation-slab memory are
+//! bounded by the work in flight, not by the trace length, and two runs
+//! over the same `(pool, config, jobs, faults)` replay the same decisions
+//! bit for bit — there is no wall clock, no `HashMap` iteration, and no
+//! randomness anywhere in the loop.
 //!
 //! ## Placement score
 //!
@@ -259,7 +273,7 @@ impl Scheduler {
 
 // ---------------------------------------------------------------- engine
 
-/// Heap priorities: at equal times, completions free capacity before
+/// Event priorities: at equal times, completions free capacity before
 /// faults strike, faults reshape the pool before new arrivals place, and
 /// ticks observe the settled state.
 const PRIO_COMPLETION: u8 = 0;
@@ -275,6 +289,7 @@ enum EvKind {
     Tick,
 }
 
+/// A heap entry: a completion or the pending tick.
 #[derive(Debug, Clone, Copy)]
 struct Ev {
     t: f64,
@@ -394,14 +409,13 @@ pub fn select_candidate(
     };
     // Deterministic tie-break: lowest type, then node, then option.
     let slot_key = |c: &Candidate| (c.type_idx, c.node_idx, c.opt);
-    let feasible = cands.iter().filter(|c| c.finish_s <= deadline);
-    let best = feasible
-        .min_by(|a, b| {
-            score(a)
-                .total_cmp(&score(b))
-                .then(slot_key(a).cmp(&slot_key(b)))
-        })
-        .copied()
+    // Score each feasible candidate once, not once per comparison.
+    let best = cands
+        .iter()
+        .filter(|c| c.finish_s <= deadline)
+        .map(|c| (score(c), c))
+        .min_by(|(sa, a), (sb, b)| sa.total_cmp(sb).then(slot_key(a).cmp(&slot_key(b))))
+        .map(|(_, c)| *c)
         .unwrap_or_else(|| {
             // No slot meets the deadline (or it is already past): finish
             // as early as possible and record the miss later.
@@ -424,12 +438,24 @@ struct Engine<'a> {
     faults: &'a FaultSchedule,
     offsets: Vec<usize>,
     nodes: Vec<NodeState>,
+    /// Reservation slots; a slot is recycled through `free` once its
+    /// completion event pops, so the slab stays as small as the work in
+    /// flight.
     slab: Vec<Resv>,
+    free: Vec<usize>,
+    /// Candidate buffer reused by every placement.
+    cands: Vec<Candidate>,
+    /// Job indices in arrival order; `None` when the input is already
+    /// sorted and the identity order serves.
+    arrival_order: Option<Vec<usize>>,
+    arrived: usize,
+    /// Fault indices in `(time, node, input position)` order.
+    fault_order: Vec<usize>,
+    faulted: usize,
+    /// Completions and the pending tick.
     heap: BinaryHeap<Reverse<Ev>>,
     seq: u64,
     outstanding: usize,
-    arrivals_left: usize,
-    faults_left: usize,
     results: Vec<JobResult>,
     out: SchedOutcome,
 }
@@ -476,6 +502,23 @@ impl<'a> Engine<'a> {
                 migrations: 0,
             })
             .collect();
+        // A stable sort keeps input order among equal arrival times.
+        let by_arrival = |a: &JobSpec, b: &JobSpec| a.arrival_s.total_cmp(&b.arrival_s);
+        let arrival_order = (!jobs.is_sorted_by(|a, b| by_arrival(a, b).is_le())).then(|| {
+            let mut order: Vec<usize> = (0..jobs.len()).collect();
+            order.sort_by(|&a, &b| by_arrival(&jobs[a], &jobs[b]));
+            order
+        });
+        let mut fault_order: Vec<usize> = (0..faults.events.len()).collect();
+        fault_order.sort_by(|&a, &b| {
+            let (ea, eb) = (&faults.events[a], &faults.events[b]);
+            ea.fault
+                .at_s
+                .total_cmp(&eb.fault.at_s)
+                .then(ea.type_idx.cmp(&eb.type_idx))
+                .then(ea.node_idx.cmp(&eb.node_idx))
+                .then(a.cmp(&b))
+        });
         Engine {
             pool,
             cfg,
@@ -484,11 +527,15 @@ impl<'a> Engine<'a> {
             offsets,
             nodes,
             slab: Vec::new(),
+            free: Vec::new(),
+            cands: Vec::new(),
+            arrival_order,
+            arrived: 0,
+            fault_order,
+            faulted: 0,
             heap: BinaryHeap::new(),
             seq: 0,
             outstanding: 0,
-            arrivals_left: jobs.len(),
-            faults_left: faults.events.len(),
             results,
             out: SchedOutcome {
                 submitted: 0,
@@ -514,62 +561,78 @@ impl<'a> Engine<'a> {
         self.heap.push(Reverse(Ev { t, prio, seq, kind }));
     }
 
+    /// Whether arrivals or faults are still to come.
+    fn input_left(&self) -> bool {
+        self.arrived < self.jobs.len() || self.faulted < self.fault_order.len()
+    }
+
+    /// Pop the next event in `(time, priority, sequence)` order: merge the
+    /// arrival cursor, the fault cursor and the heap's top on
+    /// `(time, priority)`, which never tie across sources.
+    fn next_event(&mut self) -> Option<(f64, EvKind)> {
+        let arrival = (self.arrived < self.jobs.len()).then(|| {
+            let job = self
+                .arrival_order
+                .as_ref()
+                .map_or(self.arrived, |o| o[self.arrived]);
+            (
+                self.jobs[job].arrival_s,
+                PRIO_ARRIVAL,
+                EvKind::Arrival { job },
+            )
+        });
+        let fault = self.fault_order.get(self.faulted).map(|&event| {
+            let t = self.faults.events[event].fault.at_s;
+            (t, PRIO_FAULT, EvKind::Fault { event })
+        });
+        let queued = self.heap.peek().map(|Reverse(ev)| (ev.t, ev.prio, ev.kind));
+        let (t, prio, kind) = [queued, fault, arrival]
+            .into_iter()
+            .flatten()
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+        match prio {
+            PRIO_ARRIVAL => self.arrived += 1,
+            PRIO_FAULT => self.faulted += 1,
+            _ => {
+                self.heap.pop();
+            }
+        }
+        Some((t, kind))
+    }
+
     fn node(&self, type_idx: usize, node_idx: u32) -> usize {
         self.offsets[type_idx] + node_idx as usize
     }
 
     fn run(mut self) -> Result<SchedOutcome> {
-        for (i, j) in self.jobs.iter().enumerate() {
-            self.push(j.arrival_s, PRIO_ARRIVAL, EvKind::Arrival { job: i });
-        }
-        // Fault push order is normalized to (time, node, input position) so
-        // the replay does not depend on the schedule's vector order.
-        let mut order: Vec<usize> = (0..self.faults.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ea, eb) = (&self.faults.events[a], &self.faults.events[b]);
-            ea.fault
-                .at_s
-                .total_cmp(&eb.fault.at_s)
-                .then(ea.type_idx.cmp(&eb.type_idx))
-                .then(ea.node_idx.cmp(&eb.node_idx))
-                .then(a.cmp(&b))
-        });
-        for i in order {
-            let t = self.faults.events[i].fault.at_s;
-            self.push(t, PRIO_FAULT, EvKind::Fault { event: i });
-        }
-        if self.cfg.tick_s > 0.0 && (self.arrivals_left > 0 || self.faults_left > 0) {
+        if self.cfg.tick_s > 0.0 && self.input_left() {
             self.push(self.cfg.tick_s, PRIO_TICK, EvKind::Tick);
         }
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            match ev.kind {
+        while let Some((t, kind)) = self.next_event() {
+            match kind {
                 EvKind::Completion { resv } => {
                     if self.slab[resv].active {
                         self.complete(resv);
                     }
+                    // This was the slot's only queued event, live or stale.
+                    self.free.push(resv);
                 }
-                EvKind::Fault { event } => {
-                    self.faults_left -= 1;
-                    self.apply_fault(event, ev.t);
-                }
-                EvKind::Arrival { job } => {
-                    self.arrivals_left -= 1;
-                    self.admit(job, ev.t);
-                }
+                EvKind::Fault { event } => self.apply_fault(event, t),
+                EvKind::Arrival { job } => self.admit(job, t),
                 EvKind::Tick => {
                     let running = self
                         .slab
                         .iter()
-                        .filter(|r| r.active && r.start_s <= ev.t && ev.t < r.end_s)
+                        .filter(|r| r.active && r.start_s <= t && t < r.end_s)
                         .count();
                     let outstanding = self.outstanding;
                     hecmix_obs::emit(|| hecmix_obs::Event::SchedTick {
-                        t_s: ev.t,
+                        t_s: t,
                         running,
                         outstanding,
                     });
-                    if self.arrivals_left > 0 || self.faults_left > 0 || self.outstanding > 0 {
-                        self.push(ev.t + self.cfg.tick_s, PRIO_TICK, EvKind::Tick);
+                    if self.input_left() || self.outstanding > 0 {
+                        self.push(t + self.cfg.tick_s, PRIO_TICK, EvKind::Tick);
                     }
                 }
             }
@@ -581,19 +644,13 @@ impl<'a> Engine<'a> {
         let spec = &self.jobs[job];
         self.out.submitted += 1;
         let admitted = self.outstanding < self.cfg.max_outstanding;
-        let (workload, size_units, arrival_s, deadline_s) = (
-            self.pool.classes[spec.workload].name.clone(),
-            spec.size_units,
-            spec.arrival_s,
-            spec.deadline_s,
-        );
-        let id = spec.id;
+        let workload = &self.pool.classes[spec.workload].name;
         hecmix_obs::emit(|| hecmix_obs::Event::JobSubmitted {
-            job: id,
-            workload,
-            size_units,
-            arrival_s,
-            deadline_s,
+            job: spec.id,
+            workload: workload.clone(),
+            size_units: spec.size_units,
+            arrival_s: spec.arrival_s,
+            deadline_s: spec.deadline_s,
             admitted,
         });
         if !admitted {
@@ -647,7 +704,8 @@ impl<'a> Engine<'a> {
         ready: f64,
         deadline: f64,
     ) -> Option<(usize, u32)> {
-        let mut cands: Vec<Candidate> = Vec::new();
+        let mut cands = std::mem::take(&mut self.cands);
+        cands.clear();
         for (t, &count) in self.pool.counts.iter().enumerate() {
             let menu = &self.pool.classes[class].options[t];
             for n in 0..count {
@@ -678,9 +736,10 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let best = select_candidate(&cands, ready, deadline, self.cfg.alpha)?;
-        let rid = self.slab.len();
-        self.slab.push(Resv {
+        let best = select_candidate(&cands, ready, deadline, self.cfg.alpha);
+        self.cands = cands;
+        let best = best?;
+        let resv = Resv {
             job,
             class,
             type_idx: best.type_idx,
@@ -693,12 +752,24 @@ impl<'a> Engine<'a> {
             power_w: best.power_w,
             chunk_units: self.cfg.chunk_frac * units,
             active: true,
-        });
+        };
+        let rid = match self.free.pop() {
+            Some(rid) => {
+                self.slab[rid] = resv;
+                rid
+            }
+            None => {
+                self.slab.push(resv);
+                self.slab.len() - 1
+            }
+        };
+        // The timeline sorts by start, then placement order: the newest
+        // reservation goes after every other one with the same start.
         let ni = self.node(best.type_idx, best.node_idx);
         let slab = &self.slab;
         let pos = self.nodes[ni]
             .resv
-            .partition_point(|&o| (slab[o].start_s, o) < (best.start_s, rid));
+            .partition_point(|&o| slab[o].start_s <= best.start_s);
         self.nodes[ni].resv.insert(pos, rid);
         self.push(
             best.finish_s,
@@ -1164,6 +1235,79 @@ mod tests {
         assert!(out.jobs[0].finish_s.unwrap() > clean.jobs[0].finish_s.unwrap());
         let total: f64 = out.per_type_units.iter().sum();
         assert!((total - 1e5).abs() < 1e-6 * 1e5);
+    }
+
+    #[test]
+    fn unsorted_equal_time_arrivals_replay_golden_outcome() {
+        // Input order is not arrival order, and several jobs share an
+        // arrival time: equal times must admit in input-index order, and
+        // the bound of 3 must reject the same jobs every time. The bits
+        // are golden, so a change in admission order or placement shows.
+        let cfg = SchedConfig {
+            max_outstanding: 3,
+            ..SchedConfig::default()
+        };
+        let s = Scheduler::new(pool(), cfg).unwrap();
+        let arrivals = [5.0, 0.0, 5.0, 0.0, 2.5, 5.0, 0.0, 9.0, 2.5, 0.0, 5.0, 40.0];
+        let jobs: Vec<JobSpec> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let size = 1e8 * (1 + i % 5) as f64;
+                let slack = [f64::INFINITY, 3.0, 0.8][i % 3];
+                job(100 + i as u64, size, a, a + slack)
+            })
+            .collect();
+        let out = s.run(&jobs).unwrap();
+        assert_eq!(
+            (
+                out.submitted,
+                out.admitted,
+                out.rejected,
+                out.completed,
+                out.failed,
+                out.misses,
+                out.migrations
+            ),
+            (12, 8, 4, 8, 0, 2, 0)
+        );
+        assert_eq!(
+            [
+                out.active_energy_j.to_bits(),
+                out.idle_energy_j.to_bits(),
+                out.makespan_s.to_bits()
+            ],
+            [
+                0x4079_fa33_3333_3334,
+                0x409a_5ff8_af8a_f8af,
+                0x4044_69a6_9a69_a69a
+            ]
+        );
+        // (admitted, missed, migrations, finish_s bits or 0 if unfinished)
+        let golden: [(bool, bool, u32, u64); 12] = [
+            (true, false, 0, 0x4019_9249_2492_4925),
+            (true, false, 0, 0x4006_4924_9249_2493),
+            (true, true, 0, 0x4018_f3cf_3cf3_cf3d),
+            (true, false, 0, 0x4016_4924_9249_2493),
+            (true, false, 0, 0x4012_4104_1041_0410),
+            (false, false, 0, 0),
+            (true, false, 0, 0x3fea_69a6_9a69_a69b),
+            (true, false, 0, 0x4024_79e7_9e79_e79e),
+            (false, false, 0, 0),
+            (false, false, 0, 0),
+            (false, false, 0, 0),
+            (true, true, 0, 0x4044_69a6_9a69_a69a),
+        ];
+        for (i, (j, &want)) in out.jobs.iter().zip(&golden).enumerate() {
+            assert_eq!(j.id, 100 + i as u64);
+            let got = (
+                j.admitted,
+                j.missed,
+                j.migrations,
+                j.finish_s.map_or(0, f64::to_bits),
+            );
+            assert_eq!(got, want, "job {i}");
+        }
     }
 
     #[test]

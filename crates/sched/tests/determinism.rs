@@ -1,16 +1,18 @@
-//! Scheduler determinism (ISSUE 10, satellite 3): same seed + same trace
-//! ⇒ bit-identical placement/migration telemetry, and an empty fault
-//! schedule replays bit-identically to the no-faults path.
+//! Scheduler determinism: same seed + same trace ⇒ bit-identical
+//! placement/migration telemetry, an empty fault schedule replays
+//! bit-identically to the no-faults path, and both logs match golden
+//! FNV-1a digests so a behaviour change across commits is caught too.
 //!
 //! The obs sink is process-global, so this file holds exactly **one**
 //! test in its own integration-test binary. The replay loop itself holds
-//! no `HashMap` (only vectors and a heap with a total event order), so
-//! per-instance `RandomState` differences — fresh on every `HashMap` this
-//! process creates — cannot perturb the log; running the same scenario
-//! multiple times in one process exercises exactly that.
+//! no `HashMap` (only vectors, two cursors and a heap, merged in one total
+//! event order), so per-instance `RandomState` differences — fresh on
+//! every `HashMap` this process creates — cannot perturb the log; running
+//! the same scenario multiple times in one process exercises exactly that.
 
 use std::sync::Arc;
 
+use hecmix_core::persist::fnv1a;
 use hecmix_core::profile::WorkloadModel;
 use hecmix_core::types::Platform;
 use hecmix_obs::JsonlSink;
@@ -113,6 +115,13 @@ fn replay_is_bit_identical() {
     assert_eq!(log_a, log_b, "faulted replay must be bit-identical");
     assert_eq!(out_a, out_b);
     assert!(out_a.migrations >= 1, "the fault schedule must bite");
+    // Golden pins on both logs' bytes: a behaviour change across commits
+    // shows here, not only a difference between runs.
+    assert_eq!(
+        (fnv1a(&log_a), log_a.len()),
+        (0x356f_55cb_7d19_9162, 35_530),
+        "faulted replay log drifted from its golden digest"
+    );
 
     // 2. The fault push order is normalized: a permuted schedule vector
     //    replays the same log.
@@ -132,6 +141,11 @@ fn replay_is_bit_identical() {
     );
     assert_eq!(out_plain, out_empty);
     assert_eq!(out_plain.migrations, 0);
+    assert_eq!(
+        (fnv1a(&log_plain), log_plain.len()),
+        (0x3bba_cf22_e7fe_89e7, 34_886),
+        "clean replay log drifted from its golden digest"
+    );
 
     // 4. Different seed ⇒ different stream ⇒ different log (sanity that
     //    the equality above is not vacuous).
