@@ -7,7 +7,6 @@
 //! going so one broken layer does not mask another.
 
 use hecmix_core::config::{ClusterPoint, ConfigSpace, NodeConfig};
-use hecmix_core::dvfs::exhaustive_ladder_frontier;
 use hecmix_core::exec_time::ExecTimeModel;
 use hecmix_core::mix_match::{evaluate, match_two_numeric, mix_and_match, TypeDeployment};
 use hecmix_core::profile::WorkloadModel;
@@ -552,7 +551,7 @@ pub fn ladder_stream_vs_exhaustive_models(
             return vec![format!("model {i} fails validation: {e}")];
         }
     }
-    let exhaustive = match exhaustive_ladder_frontier(&space.types, models, w_units) {
+    let exhaustive = match sweep_frontier(space, models, w_units) {
         Ok(f) => f,
         Err(e) => return vec![format!("exhaustive ladder sweep failed: {e}")],
     };

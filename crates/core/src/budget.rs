@@ -17,8 +17,7 @@ use crate::config::{ConfigSpace, TypeBounds};
 use crate::error::{Error, Result};
 use crate::pareto::ParetoFrontier;
 use crate::profile::WorkloadModel;
-use crate::rate_table::stream_frontier_pruned;
-use crate::sweep::PruneStats;
+use crate::rate_table::{stream_frontier_pruned, PruneStats};
 use crate::types::Platform;
 
 /// Integer power-substitution ratio between a low-power and a

@@ -14,6 +14,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::dvfs::OppLadder;
+use crate::error::{Error, Result};
+use crate::profile::WorkloadModel;
 use crate::types::{Frequency, Platform};
 
 /// Per-type knobs of one configuration: node count, active cores per node,
@@ -93,6 +96,10 @@ impl ClusterPoint {
     }
 }
 
+/// One deployment option of a node type: its knobs and, when the type
+/// sweeps a DVFS ladder, the OPP index.
+pub type TypeOption = (NodeConfig, Option<usize>);
+
 /// Bounds for one node type inside a [`ConfigSpace`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TypeBounds {
@@ -112,29 +119,33 @@ impl TypeBounds {
             * u64::from(self.platform.cores)
     }
 
-    /// Decode option index `idx ∈ [0, option_count)` into its
-    /// [`NodeConfig`]. The index order is fixed — nodes outermost, then
-    /// frequency, then cores — and shared by every space-enumeration path
-    /// (the lazy [`ConfigSpace::iter`] odometer and the
+    /// Every deployment option of this type, with its OPP index when
+    /// `ladder` is given. The order is fixed — nodes outermost, then the
+    /// frequency axis, then cores — and shared by every path that walks a
+    /// space ([`ConfigSpace::iter`], [`crate::sweep::sweep_space`] and the
     /// [`crate::rate_table::RateTable`] flat indexing), so an option index
-    /// means the same configuration everywhere.
-    ///
-    /// # Panics
-    /// Panics if `idx >= option_count()`.
+    /// means the same configuration everywhere. The frequency axis is the
+    /// ladder's OPPs at their effective frequencies, or the platform
+    /// P-states (OPP `None`) without a ladder.
     #[must_use]
-    pub fn decode_option(&self, idx: u64) -> NodeConfig {
-        assert!(idx < self.option_count(), "option index out of range");
-        let nf = self.platform.freqs.len() as u64;
-        let nc = u64::from(self.platform.cores);
-        let n = idx / (nf * nc);
-        let rem = idx % (nf * nc);
-        let f = rem / nc;
-        let c = rem % nc;
-        NodeConfig {
-            nodes: n as u32 + 1,
-            cores: c as u32 + 1,
-            freq: self.platform.freqs[f as usize],
+    pub fn options(&self, ladder: Option<&OppLadder>) -> Vec<TypeOption> {
+        let freqs: Vec<(Frequency, Option<usize>)> = match ladder {
+            Some(l) => (0..l.len())
+                .map(|j| (l.effective_freq(j), Some(j)))
+                .collect(),
+            None => self.platform.freqs.iter().map(|&f| (f, None)).collect(),
+        };
+        let mut out = Vec::with_capacity(
+            self.max_nodes as usize * freqs.len() * self.platform.cores as usize,
+        );
+        for nodes in 1..=self.max_nodes {
+            for &(freq, opp) in &freqs {
+                for cores in 1..=self.platform.cores {
+                    out.push((NodeConfig { nodes, cores, freq }, opp));
+                }
+            }
         }
+        out
     }
 }
 
@@ -180,66 +191,70 @@ impl ConfigSpace {
             .saturating_sub(1)
     }
 
-    /// Iterate over every configuration point (lazily).
+    /// Iterate over every configuration point (lazily), over the platform
+    /// P-states.
     pub fn iter(&self) -> impl Iterator<Item = ClusterPoint> + '_ {
-        SpaceIter::new(self)
+        SpaceIter::new(self.types.iter().map(|t| t.options(None)).collect())
     }
 
-    /// Materialize the whole space. Prefer [`Self::iter`] or
-    /// [`crate::sweep::sweep_space`] for large spaces.
-    #[must_use]
-    pub fn enumerate(&self) -> Vec<ClusterPoint> {
-        self.iter().collect()
+    /// Per-type options for `models` (one model per type, in order): a
+    /// type's DVFS ladder when its model carries one, else the platform
+    /// P-states.
+    ///
+    /// # Errors
+    /// [`Error::ProfileMismatch`] when the model count differs from the
+    /// type count.
+    pub(crate) fn model_options(&self, models: &[WorkloadModel]) -> Result<Vec<Vec<TypeOption>>> {
+        if self.types.len() != models.len() {
+            return Err(Error::ProfileMismatch {
+                deployments: self.types.len(),
+                profiles: models.len(),
+            });
+        }
+        Ok(self
+            .types
+            .iter()
+            .zip(models)
+            .map(|(t, m)| t.options(m.dvfs.as_ref().map(|d| &d.ladder)))
+            .collect())
     }
 }
 
-/// Lazy odometer-style iterator over the configuration space.
+/// Lazy odometer over the product of per-type option lists.
 ///
-/// Each type's digit ranges over `None` plus all `(n, c, f)` combinations;
-/// the all-`None` point is skipped.
-struct SpaceIter<'a> {
-    space: &'a ConfigSpace,
-    /// Digit per type: `0 = None`, `1..=choices` maps to an `(n, c, f)`.
-    digits: Vec<u64>,
-    /// Cached per-type choice counts.
-    choices: Vec<u64>,
+/// Digit `t` is `0` when type `t` is unused, else `d` for its option
+/// `d - 1`; type 0 varies fastest and the all-unused point is skipped.
+pub(crate) struct SpaceIter {
+    options: Vec<Vec<TypeOption>>,
+    digits: Vec<usize>,
     done: bool,
 }
 
-impl<'a> SpaceIter<'a> {
-    fn new(space: &'a ConfigSpace) -> Self {
-        let choices = space.types.iter().map(TypeBounds::option_count).collect();
+impl SpaceIter {
+    pub(crate) fn new(options: Vec<Vec<TypeOption>>) -> Self {
         let mut it = Self {
-            space,
-            digits: vec![0; space.types.len()],
-            choices,
-            done: space.types.is_empty(),
+            digits: vec![0; options.len()],
+            done: options.is_empty(),
+            options,
         };
-        // Skip the all-None (empty cluster) point.
+        // Skip the all-unused (empty cluster) point.
         it.advance();
         it
     }
 
     fn advance(&mut self) {
-        for i in 0..self.digits.len() {
-            if self.digits[i] < self.choices[i] {
-                self.digits[i] += 1;
+        for (d, opts) in self.digits.iter_mut().zip(&self.options) {
+            if *d < opts.len() {
+                *d += 1;
                 return;
             }
-            self.digits[i] = 0;
+            *d = 0;
         }
         self.done = true;
     }
-
-    fn decode(&self, type_idx: usize, digit: u64) -> Option<NodeConfig> {
-        if digit == 0 {
-            return None;
-        }
-        Some(self.space.types[type_idx].decode_option(digit - 1))
-    }
 }
 
-impl Iterator for SpaceIter<'_> {
+impl Iterator for SpaceIter {
     type Item = ClusterPoint;
 
     fn next(&mut self) -> Option<ClusterPoint> {
@@ -249,8 +264,8 @@ impl Iterator for SpaceIter<'_> {
         let per_type = self
             .digits
             .iter()
-            .enumerate()
-            .map(|(i, &d)| self.decode(i, d))
+            .zip(&self.options)
+            .map(|(&d, opts)| d.checked_sub(1).map(|i| opts[i].0))
             .collect();
         self.advance();
         Some(ClusterPoint { per_type })
@@ -280,7 +295,7 @@ mod tests {
     #[test]
     fn count_matches_enumeration() {
         let space = paper_space(2, 3);
-        let pts = space.enumerate();
+        let pts: Vec<ClusterPoint> = space.iter().collect();
         assert_eq!(pts.len() as u64, space.count());
         // 2·5·4 = 40 ARM choices; 3·3·6 = 54 AMD choices;
         // 40·54 + 40 + 54 = 2254.
@@ -290,7 +305,7 @@ mod tests {
     #[test]
     fn no_empty_point_and_no_duplicates() {
         let space = paper_space(2, 2);
-        let pts = space.enumerate();
+        let pts: Vec<ClusterPoint> = space.iter().collect();
         assert!(pts.iter().all(|p| p.types_used() >= 1));
         let mut labels: Vec<String> = pts.iter().map(|p| format!("{:?}", p)).collect();
         labels.sort();
@@ -310,6 +325,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn options_order_is_nodes_freq_cores() {
+        let b = TypeBounds {
+            platform: Platform::reference_arm(),
+            max_nodes: 2,
+        };
+        let c = b.platform.cores as usize;
+        let nf = b.platform.freqs.len();
+        let opts = b.options(None);
+        assert_eq!(opts.len() as u64, b.option_count());
+        assert_eq!(opts[0], (NodeConfig::new(1, 1, b.platform.freqs[0]), None));
+        assert_eq!(opts[c].0.freq, b.platform.freqs[1]); // next P-state after the core axis wraps
+        assert_eq!(opts[nf * c].0.nodes, 2); // node axis outermost
+
+        let ladder = crate::dvfs::NodeDvfs::synthetic_ladder(
+            &crate::profile::WorkloadModel::synthetic_cpu_bound(&b.platform, "ep", 60.0).power,
+            b.platform.cores,
+            0.1,
+        )
+        .ladder;
+        let opts = b.options(Some(&ladder));
+        assert_eq!(opts.len(), 2 * ladder.len() * c);
+        // First block: 1 node, OPP 0, cores 1..=C.
+        assert_eq!(
+            opts[0],
+            (NodeConfig::new(1, 1, ladder.effective_freq(0)), Some(0))
+        );
+        assert_eq!(opts[c].1, Some(1)); // next OPP after the core axis wraps
+        assert_eq!(opts[ladder.len() * c].0.nodes, 2); // node axis outermost
     }
 
     #[test]
@@ -354,7 +400,7 @@ mod tests {
         }]);
         // 10 × 5 × 4 = 200 (paper footnote 2, ARM-only term).
         assert_eq!(space.count(), 200);
-        assert_eq!(space.enumerate().len(), 200);
+        assert_eq!(space.iter().count(), 200);
     }
 
     #[test]
@@ -376,6 +422,6 @@ mod tests {
         ]);
         // choices per type: 1·5·4 = 20 → (20+1)^3 − 1 = 9260.
         assert_eq!(space.count(), 9260);
-        assert_eq!(space.enumerate().len(), 9260);
+        assert_eq!(space.iter().count(), 9260);
     }
 }

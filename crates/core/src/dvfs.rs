@@ -18,7 +18,7 @@
 //!   credits a domain's `sleep_w` only when **all** leaves beneath it are
 //!   idle, else the domain stays at `idle_w` and recurses into children.
 //! - [`NodeDvfs`] — the pair `(ladder, domain)` attached to a
-//!   [`WorkloadModel`] as an optional extension.
+//!   [`WorkloadModel`](crate::profile::WorkloadModel) as an optional extension.
 //!
 //! # Degenerate-ladder equivalence
 //!
@@ -44,11 +44,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{ClusterPoint, TypeBounds};
 use crate::error::{Error, Result};
-use crate::mix_match;
-use crate::pareto::{ParetoFrontier, ParetoPoint};
-use crate::profile::{PowerProfile, WorkloadModel};
+use crate::profile::PowerProfile;
 use crate::types::Frequency;
 
 /// One operating performance point of a core type: the real clock
@@ -461,7 +458,8 @@ impl PowerDomain {
     }
 }
 
-/// The optional DVFS extension of a [`WorkloadModel`]: the per-type OPP
+/// The optional DVFS extension of a
+/// [`WorkloadModel`](crate::profile::WorkloadModel): the per-type OPP
 /// ladder plus the node's power-domain tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeDvfs {
@@ -554,106 +552,13 @@ impl NodeDvfs {
     }
 }
 
-/// Per-type ladder option order of the streaming sweep: nodes outermost,
-/// then OPP index, then cores — mirroring `TypeBounds::decode_option`
-/// with the ladder replacing the platform P-state list. Returns
-/// `(cfg, opp)` pairs; `cfg.freq` is the OPP's effective frequency.
-pub fn ladder_options(
-    bounds: &TypeBounds,
-    ladder: &OppLadder,
-) -> Vec<(crate::config::NodeConfig, usize)> {
-    let mut out = Vec::with_capacity(
-        bounds.max_nodes as usize * ladder.len() * bounds.platform.cores as usize,
-    );
-    for n in 1..=bounds.max_nodes {
-        for opp in 0..ladder.len() {
-            let freq = ladder.effective_freq(opp);
-            for c in 1..=bounds.platform.cores {
-                out.push((crate::config::NodeConfig::new(n, c, freq), opp));
-            }
-        }
-    }
-    out
-}
-
-/// Exhaustive ladder sweep: enumerate every per-type deployment option
-/// (including "type unused") over each model's ladder — or, for types
-/// without a ladder, over the platform P-states — evaluate each cluster
-/// point through the full `mix_match::evaluate` path, and keep the
-/// Pareto frontier. Exponential in the number of types; this is the
-/// differential-testing reference for the streamed per-(type, OPP)
-/// rate-table engine, not a production sweep.
-///
-/// # Errors
-/// Propagates model/evaluation errors ([`Error::InvalidInput`]).
-pub fn exhaustive_ladder_frontier(
-    bounds: &[TypeBounds],
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Result<ParetoFrontier> {
-    if bounds.len() != models.len() {
-        return Err(Error::InvalidInput(
-            "one TypeBounds per model is required".into(),
-        ));
-    }
-    let mut per_type: Vec<Vec<Option<crate::config::NodeConfig>>> = Vec::new();
-    for (b, m) in bounds.iter().zip(models) {
-        let mut opts: Vec<Option<crate::config::NodeConfig>> = vec![None];
-        match &m.dvfs {
-            Some(d) => {
-                opts.extend(
-                    ladder_options(b, &d.ladder)
-                        .into_iter()
-                        .map(|(c, _)| Some(c)),
-                );
-            }
-            None => {
-                for i in 0..b.option_count() {
-                    opts.push(Some(b.decode_option(i)));
-                }
-            }
-        }
-        per_type.push(opts);
-    }
-
-    let mut points: Vec<ParetoPoint> = Vec::new();
-    let mut idx = vec![0usize; per_type.len()];
-    loop {
-        // Advance the odometer, skipping the all-None point.
-        if idx.iter().any(|&i| i > 0) {
-            let cfgs: Vec<Option<crate::config::NodeConfig>> = idx
-                .iter()
-                .zip(&per_type)
-                .map(|(&i, opts)| opts[i])
-                .collect();
-            let point = ClusterPoint::new(cfgs);
-            let out = mix_match::evaluate(&point, models, w_units)?;
-            points.push(ParetoPoint {
-                time_s: out.time_s,
-                energy_j: out.energy_j,
-                config: point,
-            });
-        }
-        let mut k = 0usize;
-        loop {
-            if k == idx.len() {
-                return Ok(ParetoFrontier::from_points(points));
-            }
-            idx[k] += 1;
-            if idx[k] < per_type[k].len() {
-                break;
-            }
-            idx[k] = 0;
-            k += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ConfigSpace;
+    use crate::profile::WorkloadModel;
     use crate::rate_table::stream_frontier;
+    use crate::sweep::sweep_frontier;
     use crate::types::Platform;
 
     fn arm_model() -> WorkloadModel {
@@ -828,25 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn ladder_options_order_is_nodes_opp_cores() {
-        let m = arm_model();
-        let l = big_little_ladder();
-        let b = TypeBounds {
-            platform: m.platform.clone(),
-            max_nodes: 2,
-        };
-        let opts = ladder_options(&b, &l);
-        assert_eq!(opts.len(), 2 * 3 * m.platform.cores as usize);
-        // First block: 1 node, OPP 0, cores 1..=C.
-        assert_eq!(opts[0].0.nodes, 1);
-        assert_eq!(opts[0].1, 0);
-        assert_eq!(opts[0].0.cores, 1);
-        let c = m.platform.cores as usize;
-        assert_eq!(opts[c].1, 1); // next OPP after the core axis wraps
-        assert_eq!(opts[3 * c].0.nodes, 2); // node axis outermost
-    }
-
-    #[test]
     fn exhaustive_ladder_matches_streamed_frontier() {
         let mut m = arm_model();
         m.dvfs = Some(NodeDvfs {
@@ -859,7 +745,7 @@ mod tests {
             ConfigSpace::two_type(models[0].platform.clone(), 2, models[1].platform.clone(), 2);
         let w = 1e6;
         let streamed = stream_frontier(&space, &models, w).unwrap();
-        let exhaustive = exhaustive_ladder_frontier(&space.types, &models, w).unwrap();
+        let exhaustive = sweep_frontier(&space, &models, w).unwrap();
         assert_eq!(streamed.points.len(), exhaustive.points.len());
         for (a, b) in streamed.points.iter().zip(&exhaustive.points) {
             assert!((a.time_s - b.time_s).abs() <= 1e-9 * a.time_s.abs());

@@ -95,9 +95,7 @@ pub use error::{Error, Result};
 pub mod prelude {
     pub use crate::budget::{BudgetMix, PowerBudget, SubstitutionRatio};
     pub use crate::config::{ConfigSpace, NodeConfig};
-    pub use crate::dvfs::{
-        exhaustive_ladder_frontier, ActiveState, IdleState, NodeDvfs, OppLadder, PowerDomain,
-    };
+    pub use crate::dvfs::{ActiveState, IdleState, NodeDvfs, OppLadder, PowerDomain};
     pub use crate::energy::{EnergyBreakdown, EnergyModel, PoweredWindow};
     pub use crate::error::{Error, Result};
     pub use crate::exec_time::{ExecTimeModel, TimeBreakdown};
@@ -109,12 +107,12 @@ pub mod prelude {
         IoProfile, LinearFit, PowerProfile, SpiMemFit, WorkloadModel, WorkloadProfile,
     };
     pub use crate::rate_table::{
-        stream_frontier, stream_frontier_pruned, RateOption, RateTable, SweepOutcome,
+        stream_frontier, stream_frontier_pruned, PruneStats, RateOption, RateTable, SweepOutcome,
     };
     pub use crate::resilience::{
         predict_crash_run, resilient_frontier, CrashPlan, DegradedPrediction, ResilientTable,
         TypeRate,
     };
-    pub use crate::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig, PruneStats};
+    pub use crate::sweep::{sweep_space, EvaluatedConfig};
     pub use crate::types::{Frequency, Platform, PlatformId};
 }

@@ -51,7 +51,6 @@ use crate::error::{Error, Result};
 use crate::exec_time::ExecTimeModel;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profile::WorkloadModel;
-use crate::sweep::PruneStats;
 
 /// Lean per-configuration result of the streaming kernel: just the two
 /// axes of the energy–deadline plane.
@@ -88,23 +87,33 @@ pub struct RateOption {
 #[derive(Debug, Clone)]
 pub struct RateTable {
     per_type: Vec<Vec<RateOption>>,
-    /// Σ over types of `option_count + 1` before any pruning (the "+1" is
-    /// the unused digit), kept for [`PruneStats`] accounting.
+    /// Σ over types of `options + 1` before any pruning (the "+1" is the
+    /// unused digit), kept for [`PruneStats`] accounting.
     unpruned_options: usize,
+    /// Configurations in the table before any pruning, kept for
+    /// [`PruneStats`] accounting.
+    unpruned_count: u64,
 }
 
 impl RateTable {
     /// Build the full table: one entry per option, in
-    /// [`crate::config::TypeBounds::decode_option`] order, so flat index
-    /// `k` decodes to the `k`-th point of [`ConfigSpace::iter`].
+    /// [`crate::config::TypeBounds::options`] order, so flat index `k`
+    /// decodes to the `k`-th point of [`crate::sweep::sweep_space`] (and,
+    /// for models without a DVFS ladder, of [`ConfigSpace::iter`]).
     pub fn build(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
         check_space(space)?;
-        let per_type = Self::type_options(space, models)?;
+        Ok(Self::unpruned(Self::type_options(space, models)?))
+    }
+
+    fn unpruned(per_type: Vec<Vec<RateOption>>) -> Self {
         let unpruned_options = per_type.iter().map(|o| o.len() + 1).sum();
-        Ok(Self {
+        let mut table = Self {
             per_type,
             unpruned_options,
-        })
+            unpruned_count: 0,
+        };
+        table.unpruned_count = table.count();
+        table
     }
 
     /// Build a dominance-pruned table: within each type, keep only the
@@ -115,9 +124,8 @@ impl RateTable {
     /// energy-per-deadline curve.
     pub fn build_pruned(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Self> {
         check_space(space)?;
-        let mut per_type = Self::type_options(space, models)?;
-        let unpruned_options = per_type.iter().map(|o| o.len() + 1).sum();
-        for opts in &mut per_type {
+        let mut table = Self::unpruned(Self::type_options(space, models)?);
+        for opts in &mut table.per_type {
             opts.sort_by(|a, c| {
                 c.rate
                     .total_cmp(&a.rate)
@@ -133,41 +141,17 @@ impl RateTable {
                 }
             });
         }
-        Ok(Self {
-            per_type,
-            unpruned_options,
-        })
+        Ok(table)
     }
 
     fn type_options(space: &ConfigSpace, models: &[WorkloadModel]) -> Result<Vec<Vec<RateOption>>> {
-        if space.types.len() != models.len() {
-            return Err(Error::ProfileMismatch {
-                deployments: space.types.len(),
-                profiles: models.len(),
-            });
-        }
         space
-            .types
-            .iter()
-            .zip(models)
-            .map(|(t, model)| {
+            .model_options(models)?
+            .into_iter()
+            .zip(space.types.iter().zip(models))
+            .map(|(enumerated, (t, model))| {
                 let etm = ExecTimeModel::new(model);
                 let enm = EnergyModel::new(model);
-                // Legacy models enumerate the platform P-state list via
-                // `decode_option`; ladder models enumerate per-(type, OPP)
-                // in the same (nodes, freq-axis, cores) nesting, with the
-                // ladder's effective frequencies as the freq axis. Either
-                // way the flat indexing stays exact — one digit value per
-                // option, no approximation.
-                let enumerated: Vec<(NodeConfig, Option<usize>)> = match &model.dvfs {
-                    Some(d) => crate::dvfs::ladder_options(t, &d.ladder)
-                        .into_iter()
-                        .map(|(cfg, opp)| (cfg, Some(opp)))
-                        .collect(),
-                    None => (0..t.option_count())
-                        .map(|idx| (t.decode_option(idx), None))
-                        .collect(),
-                };
                 let mut opts = Vec::with_capacity(enumerated.len());
                 for (cfg, opp) in enumerated {
                     etm.check_config(&cfg)?;
@@ -218,14 +202,15 @@ impl RateTable {
             .saturating_sub(1)
     }
 
-    /// Prune/space statistics against the space the table was built from.
+    /// Prune statistics: this table against the unpruned table it was
+    /// built from.
     #[must_use]
-    pub fn prune_stats(&self, space: &ConfigSpace) -> PruneStats {
+    pub fn prune_stats(&self) -> PruneStats {
         PruneStats {
             total_options: self.unpruned_options,
             kept_options: self.per_type.iter().map(|o| o.len() + 1).sum(),
             evaluated_configs: self.count(),
-            full_space: space.count(),
+            full_space: self.unpruned_count,
         }
     }
 
@@ -568,10 +553,27 @@ pub fn stream_frontier(
     RateTable::build(space, models)?.frontier(w_units)
 }
 
+/// Statistics from a dominance-pruned sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PruneStats {
+    /// Per-type options before pruning (summed over types, including the
+    /// "type unused" option).
+    pub total_options: usize,
+    /// Per-type options kept after pruning.
+    pub kept_options: usize,
+    /// Cluster configurations actually evaluated.
+    pub evaluated_configs: u64,
+    /// Size of the full configuration space: the unpruned table's count,
+    /// over each model's DVFS ladder where it has one.
+    pub full_space: u64,
+}
+
 /// Streaming frontier of the **dominance-pruned** space, with prune
-/// statistics. The production path for large sweeps: per-type pruning
+/// statistics — the configuration-space reduction the paper leaves open
+/// (§IV-B). The production path for large sweeps: per-type pruning
 /// typically shrinks the product by orders of magnitude before the kernel
-/// ever runs.
+/// ever runs, and [`RateTable::build_pruned`] keeps the frontier as an
+/// energy-per-deadline curve.
 pub fn stream_frontier_pruned(
     space: &ConfigSpace,
     models: &[WorkloadModel],
@@ -579,12 +581,13 @@ pub fn stream_frontier_pruned(
 ) -> Result<(ParetoFrontier, PruneStats)> {
     validate_work(w_units)?;
     let table = RateTable::build_pruned(space, models)?;
+    let stats = table.prune_stats();
     hecmix_obs::emit(|| hecmix_obs::Event::SweepPruned {
-        total_points: space.count(),
-        kept_points: table.count(),
+        total_points: stats.full_space,
+        kept_points: stats.evaluated_configs,
     });
     let frontier = table.frontier(w_units)?;
-    Ok((frontier, table.prune_stats(space)))
+    Ok((frontier, stats))
 }
 
 #[cfg(test)]
@@ -613,6 +616,55 @@ mod tests {
         for (k, point) in space.iter().enumerate() {
             assert_eq!(table.decode(k as u64 + 1), point, "flat index {}", k + 1);
         }
+    }
+
+    /// The reference platforms with 3- and 2-OPP ladders: fewer operating
+    /// points than their 5 and 3 P-states, so ladder and P-state counts
+    /// differ.
+    fn ladder_setup() -> (ConfigSpace, Vec<WorkloadModel>) {
+        let (space, models) = setup();
+        let models = models
+            .into_iter()
+            .zip([3, 2])
+            .map(|(m, opps)| {
+                let mut d =
+                    crate::dvfs::NodeDvfs::synthetic_ladder(&m.power, m.platform.cores, 0.1);
+                d.ladder.states.truncate(opps);
+                m.with_dvfs(d)
+            })
+            .collect();
+        (space, models)
+    }
+
+    #[test]
+    fn full_table_indexes_the_ladder_space_in_sweep_order() {
+        let (space, models) = ladder_setup();
+        let table = RateTable::build(&space, &models).unwrap();
+        let evaluated = sweep_space(&space, &models, 1e6).unwrap();
+        assert_eq!(evaluated.len() as u64, table.count());
+        assert_ne!(
+            table.count(),
+            space.count(),
+            "ladders change the option count"
+        );
+        for (k, e) in evaluated.iter().enumerate() {
+            assert_eq!(table.decode(k as u64 + 1), e.config, "flat index {}", k + 1);
+        }
+    }
+
+    #[test]
+    fn prune_stats_count_the_unpruned_table() {
+        let (space, models) = setup();
+        let (_, stats) = stream_frontier_pruned(&space, &models, 1e6).unwrap();
+        assert_eq!(stats.full_space, space.count());
+        let (space, models) = ladder_setup();
+        let (_, stats) = stream_frontier_pruned(&space, &models, 1e6).unwrap();
+        let full = RateTable::build(&space, &models).unwrap();
+        assert_eq!(stats.full_space, full.count(), "{stats:?}");
+        assert_eq!(
+            stats.total_options,
+            full.options().iter().map(|o| o.len() + 1).sum::<usize>()
+        );
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! Two tiers of machinery live here and in [`crate::rate_table`]:
 //!
-//! * [`sweep_space`] / [`sweep_points`] / [`sweep_frontier`] — the
-//!   *exhaustive reference path*: every point gets the full
+//! * [`sweep_space`] / [`sweep_frontier`] — the *exhaustive reference
+//!   path*: every point, legacy or DVFS-ladder, gets the full
 //!   [`ClusterOutcome`] (shares, per-type breakdowns). Use it for reports,
 //!   scatter plots, and validation.
-//! * [`crate::rate_table::stream_frontier`] and [`sweep_frontier_pruned`]
-//!   — the *streaming production path*: per-type `(r, b)` rate tables are
+//! * [`crate::rate_table::stream_frontier`] and
+//!   [`crate::rate_table::stream_frontier_pruned`] — the *streaming
+//!   production path*: per-type `(r, b)` rate tables are
 //!   precomputed once, every configuration folds through a lean
 //!   time/energy kernel, and only partial Pareto frontiers are ever held
 //!   in memory. Equivalent to the reference path on the energy–deadline
@@ -21,7 +22,7 @@
 
 use rayon::prelude::*;
 
-use crate::config::{ClusterPoint, ConfigSpace};
+use crate::config::{ClusterPoint, ConfigSpace, SpaceIter};
 use crate::error::Result;
 use crate::mix_match::{evaluate, ClusterOutcome};
 use crate::pareto::{ParetoFrontier, ParetoPoint};
@@ -50,8 +51,12 @@ impl EvaluatedConfig {
 
 /// Evaluate every configuration of `space` for a job of `w_units`,
 /// in parallel. The model bundles must be in the same type order as the
-/// space. Individual evaluation errors abort the sweep (they indicate a
-/// mis-built space, not a data condition).
+/// space; a type whose model carries a DVFS ladder sweeps its OPPs, and
+/// the `k`-th point is flat index `k` of
+/// [`crate::rate_table::RateTable::build`]. Each point goes through the
+/// full [`evaluate`], not the rate-table kernel, so this stays an
+/// independent reference for it. Individual evaluation errors abort the
+/// sweep (they indicate a mis-built space, not a data condition).
 pub fn sweep_space(
     space: &ConfigSpace,
     models: &[WorkloadModel],
@@ -61,7 +66,7 @@ pub fn sweep_space(
     crate::rate_table::validate_work(w_units)?;
     // Enumerate lazily but collect points first so rayon can split the
     // workload evenly; a ClusterPoint is a few dozen bytes.
-    let points: Vec<ClusterPoint> = space.iter().collect();
+    let points: Vec<ClusterPoint> = SpaceIter::new(space.model_options(models)?).collect();
     points
         .into_par_iter()
         .map(|config| {
@@ -86,64 +91,6 @@ pub fn sweep_frontier(
     ))
 }
 
-/// Evaluate an explicit list of configuration points in parallel.
-pub fn sweep_points(
-    points: &[ClusterPoint],
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Result<Vec<EvaluatedConfig>> {
-    points
-        .par_iter()
-        .map(|config| {
-            let outcome = evaluate(config, models, w_units)?;
-            Ok(EvaluatedConfig {
-                config: config.clone(),
-                outcome,
-            })
-        })
-        .collect()
-}
-
-/// Statistics from a dominance-pruned sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PruneStats {
-    /// Per-type options before pruning (summed over types, including the
-    /// "type unused" option).
-    pub total_options: usize,
-    /// Per-type options kept after pruning.
-    pub kept_options: usize,
-    /// Cluster configurations actually evaluated.
-    pub evaluated_configs: u64,
-    /// Size of the full configuration space.
-    pub full_space: u64,
-}
-
-/// Derive the energy–deadline Pareto frontier of a configuration space
-/// without evaluating every point — the configuration-space reduction the
-/// paper explicitly leaves open ("An approach to reduce the configuration
-/// space is beyond the scope of this paper", §IV-B).
-///
-/// Soundness: under the paper's model, a type's contribution to a matched
-/// cluster is fully captured by two numbers — its execution rate `r` and
-/// its *energy rate* `b = E_alone · r / W` (watts), because `T = W/Σr` and
-/// `E = W·(Σb)/(Σr)`. Replacing a per-type option with one of `r' ≥ r` and
-/// `b' ≤ b` therefore never worsens either axis, so options dominated
-/// *within their type* cannot appear on the frontier except as exact ties.
-/// Pruning them and streaming the (much smaller) product through the lean
-/// `(Σr, Σb)` kernel preserves the frontier as an energy-per-deadline
-/// curve — property-tested against the exhaustive sweep.
-///
-/// This is a thin wrapper over
-/// [`crate::rate_table::stream_frontier_pruned`]; see [`crate::rate_table`]
-/// for the engine.
-pub fn sweep_frontier_pruned(
-    space: &ConfigSpace,
-    models: &[WorkloadModel],
-    w_units: f64,
-) -> Result<(ParetoFrontier, PruneStats)> {
-    crate::rate_table::stream_frontier_pruned(space, models, w_units)
-}
-
 /// Restrict evaluated configurations to those using *only* the given type
 /// index (the paper's "ARM-only" / "AMD-only" comparison curves), and
 /// return their frontier.
@@ -161,6 +108,7 @@ pub fn homogeneous_frontier(evaluated: &[EvaluatedConfig], type_idx: usize) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rate_table::stream_frontier_pruned;
     use crate::types::Platform;
 
     fn setup() -> (ConfigSpace, Vec<WorkloadModel>) {
@@ -246,7 +194,7 @@ mod tests {
     fn pruned_frontier_matches_exhaustive() {
         let (space, models) = setup();
         let full = sweep_frontier(&space, &models, 1e6).unwrap();
-        let (pruned, stats) = sweep_frontier_pruned(&space, &models, 1e6).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &models, 1e6).unwrap();
         // Pruning must actually prune...
         assert!(stats.evaluated_configs < stats.full_space / 2, "{stats:?}");
         assert!(stats.kept_options < stats.total_options);
@@ -297,7 +245,7 @@ mod tests {
             WorkloadModel::synthetic_io_bound(&arm, "kv", 1000.0, 512.0),
         ];
         let full = sweep_frontier(&space, &models, 5e4).unwrap();
-        let (pruned, stats) = sweep_frontier_pruned(&space, &models, 5e4).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &models, 5e4).unwrap();
         assert!(stats.evaluated_configs < stats.full_space);
         for p in &full.points {
             let got = pruned.min_energy_for_deadline(p.time_s).unwrap();
@@ -313,18 +261,5 @@ mod tests {
         assert!(sweep_frontier(&empty, &models, 1e6).is_err());
         assert!(sweep_space(&space, &models, 0.0).is_err());
         assert!(sweep_space(&space, &models, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn sweep_points_matches_sweep_space() {
-        let (space, models) = setup();
-        let pts: Vec<ClusterPoint> = space.iter().collect();
-        let a = sweep_space(&space, &models, 1e6).unwrap();
-        let b = sweep_points(&pts, &models, 1e6).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.config, y.config);
-            assert!((x.outcome.energy_j - y.outcome.energy_j).abs() < 1e-12);
-        }
     }
 }

@@ -5,7 +5,8 @@
 use hecmix_core::config::{ConfigSpace, TypeBounds};
 use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::profile::WorkloadModel;
-use hecmix_core::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig, PruneStats};
+use hecmix_core::rate_table::{stream_frontier_pruned, PruneStats};
+use hecmix_core::sweep::{sweep_space, EvaluatedConfig};
 use hecmix_queueing::dispatch::{
     best_choice, best_choice_tail, run_day, ConfigChoice, DayOutcome, DiurnalProfile,
     TailDesConfig, TailTarget,
@@ -55,7 +56,7 @@ pub fn threeway(lab: &Lab, w: &dyn Workload) -> ThreeWayResult {
     ]);
     let units = w.analysis_units() as f64;
     let (frontier, stats) =
-        sweep_frontier_pruned(&space, &models, units).expect("valid three-type space");
+        stream_frontier_pruned(&space, &models, units).expect("valid three-type space");
     let three_type_points = frontier
         .points
         .iter()
@@ -80,7 +81,7 @@ pub fn threeway(lab: &Lab, w: &dyn Workload) -> ThreeWayResult {
             .collect();
         let sub_space = ConfigSpace::new(types);
         let (sub_frontier, _) =
-            sweep_frontier_pruned(&sub_space, &ms, units).expect("valid sub-space");
+            stream_frontier_pruned(&sub_space, &ms, units).expect("valid sub-space");
         if let Some(e) = sub_frontier.min_energy_j() {
             best_two = best_two.min(e);
         }
@@ -388,7 +389,7 @@ pub fn tail_planning_study(lab: &Lab, w: &dyn Workload, seed: u64) -> Vec<TailPl
     let models = lab.models(w);
     let units = w.analysis_units() as f64;
     let space = ConfigSpace::two_type(lab.arm.platform.clone(), 16, lab.amd.platform.clone(), 14);
-    let (frontier, _) = sweep_frontier_pruned(&space, &models, units).expect("valid space");
+    let (frontier, _) = stream_frontier_pruned(&space, &models, units).expect("valid space");
     let menu = menu_from(&frontier, &models);
     let t_min = frontier.min_time_s().expect("non-empty frontier");
     let window_s = 20.0_f64.max(100.0 * t_min);
@@ -692,7 +693,7 @@ pub fn sensitivity(delta: f64) -> Vec<SensitivityRow> {
                 max_nodes: 128,
             }]);
             let (arm_frontier, _) =
-                sweep_frontier_pruned(&arm_space, &mc_models[..1], mc.analysis_units() as f64)
+                stream_frontier_pruned(&arm_space, &mc_models[..1], mc.analysis_units() as f64)
                     .expect("valid space");
             let memcached_crossover_ms = arm_frontier.min_time_s().unwrap_or(f64::NAN) * 1e3;
 

@@ -38,10 +38,11 @@ pub mod manifest;
 
 pub use manifest::{RunManifest, SelfCheckOutcome};
 
-/// Declares [`Event`] from one table and generates its `kind()` tag and
-/// its `to_json()` encoder from the same rows, so a variant, its tag and
-/// its fields are written once. Each field is encoded under its own name,
-/// in declaration order, by its type's [`JsonField`] impl.
+/// Declares [`Event`] from one table and generates its `kind()` tag, its
+/// `to_json()` encoder and [`EVENT_SCHEMA`] from the same rows, so a
+/// variant, its tag and its fields are written once. Each field is encoded
+/// under its own name, in declaration order, by its type's [`JsonField`]
+/// impl, which also names its [`JsonType`].
 macro_rules! event_table {
     (
         $(#[$meta:meta])*
@@ -86,59 +87,144 @@ macro_rules! event_table {
                 o.finish()
             }
         }
+
+        /// Every event kind with its fields' names and JSON types, in
+        /// encoding order — the schema [`check_record`] validates against.
+        pub const EVENT_SCHEMA: &[(&str, &[(&str, JsonType)])] = &[
+            $( ($kind, &[ $( (stringify!($field), <$ty as JsonField>::TYPE) ),* ]), )*
+        ];
     };
+}
+
+/// JSON type of an event field, as [`Event::to_json`] writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonType {
+    /// An unsigned integer (`u16`, `u32`, `u64`, `usize`).
+    UInt,
+    /// An `f64`: a number, or `null` when non-finite.
+    Num,
+    /// A boolean.
+    Bool,
+    /// A string.
+    Str,
+}
+
+/// Check one parsed JSONL record against [`EVENT_SCHEMA`] and return its
+/// kind. The record must carry a known `"kind"` and exactly that kind's
+/// fields, each of its JSON type. Integers must be exact in an `f64`
+/// (at most 2⁵³) and numbers finite, except for the `(kind, field)` pairs
+/// in `loose`, which may hold any integer or `null` respectively.
+///
+/// # Errors
+/// A description of the first mismatch.
+pub fn check_record(line: &json::Value, loose: &[(&str, &str)]) -> Result<&'static str, String> {
+    let kind = line
+        .get("kind")
+        .and_then(json::Value::as_str)
+        .ok_or("record without a string `kind`")?;
+    let &(kind, fields) = EVENT_SCHEMA
+        .iter()
+        .find(|(k, _)| *k == kind)
+        .ok_or_else(|| format!("unknown kind `{kind}`"))?;
+    if let json::Value::Object(members) = line {
+        if members.len() != fields.len() + 1 {
+            return Err(format!(
+                "{kind}: {} fields, the schema has {}",
+                members.len() - 1,
+                fields.len()
+            ));
+        }
+    }
+    for &(name, ty) in fields {
+        let v = line
+            .get(name)
+            .ok_or_else(|| format!("{kind}: missing `{name}`"))?;
+        let is_loose = loose.contains(&(kind, name));
+        let ok = match ty {
+            JsonType::UInt => {
+                v.as_u64().is_some()
+                    || (is_loose && v.as_f64().is_some_and(|n| n >= 0.0 && n.fract() == 0.0))
+            }
+            JsonType::Num => {
+                v.as_f64().is_some_and(f64::is_finite) || (is_loose && *v == json::Value::Null)
+            }
+            JsonType::Bool => v.as_bool().is_some(),
+            JsonType::Str => v.as_str().is_some(),
+        };
+        if !ok {
+            return Err(format!("{kind}.{name}: expected {ty:?}, got {v:?}"));
+        }
+    }
+    Ok(kind)
 }
 
 /// How an event field is written into its JSON object, chosen by the
 /// field's type: unsigned integers as JSON integers (exact above 2⁵³),
 /// `f64` as a number or `null` when non-finite, strings escaped.
 trait JsonField {
+    const TYPE: JsonType;
     fn put(&self, o: &mut json::Object, key: &str);
 }
 
 impl JsonField for u64 {
+    const TYPE: JsonType = JsonType::UInt;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.u64(key, *self);
     }
 }
 
 impl JsonField for u32 {
+    const TYPE: JsonType = JsonType::UInt;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.u64(key, u64::from(*self));
     }
 }
 
 impl JsonField for u16 {
+    const TYPE: JsonType = JsonType::UInt;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.u64(key, u64::from(*self));
     }
 }
 
 impl JsonField for usize {
+    const TYPE: JsonType = JsonType::UInt;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.u64(key, *self as u64);
     }
 }
 
 impl JsonField for f64 {
+    const TYPE: JsonType = JsonType::Num;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.f64(key, *self);
     }
 }
 
 impl JsonField for bool {
+    const TYPE: JsonType = JsonType::Bool;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.bool(key, *self);
     }
 }
 
 impl JsonField for &str {
+    const TYPE: JsonType = JsonType::Str;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.str(key, self);
     }
 }
 
 impl JsonField for String {
+    const TYPE: JsonType = JsonType::Str;
+
     fn put(&self, o: &mut json::Object, key: &str) {
         o.str(key, self);
     }
@@ -1367,6 +1453,42 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), n, "duplicate kind tags");
+        assert_eq!(EVENT_SCHEMA.len(), n, "a pinned line per schema row");
+        // The pinned values deliberately leave the strict ranges, so check
+        // the schema's names and types with every field loose.
+        let all_loose: Vec<(&str, &str)> = EVENT_SCHEMA
+            .iter()
+            .flat_map(|&(k, fields)| fields.iter().map(move |&(f, _)| (k, f)))
+            .collect();
+        for (event, line) in &cases {
+            let v = json::parse(line).expect("pinned line parses");
+            assert_eq!(check_record(&v, &all_loose), Ok(event.kind()), "{line}");
+        }
+    }
+
+    #[test]
+    fn check_record_rejects_schema_breaks() {
+        let check = |line: &str, loose: &[(&str, &str)]| {
+            check_record(&json::parse(line).expect("valid JSON"), loose)
+        };
+        let ok = r#"{"kind":"sched_tick","t_s":1.5,"running":2,"outstanding":3}"#;
+        assert_eq!(check(ok, &[]), Ok("sched_tick"));
+        for bad in [
+            r#"{"t_s":1.5,"running":2,"outstanding":3}"#,
+            r#"{"kind":"no_such_event"}"#,
+            r#"{"kind":"sched_tick","t_s":1.5,"running":2}"#,
+            r#"{"kind":"sched_tick","t_s":1.5,"running":2,"outstanding":3,"extra":0}"#,
+            r#"{"kind":"sched_tick","t_s":"1.5","running":2,"outstanding":3}"#,
+            r#"{"kind":"sched_tick","t_s":null,"running":2,"outstanding":3}"#,
+            r#"{"kind":"sched_tick","t_s":1.5,"running":2.5,"outstanding":3}"#,
+            r#"{"kind":"sched_tick","t_s":1.5,"running":18446744073709551615,"outstanding":3}"#,
+        ] {
+            assert!(check(bad, &[]).is_err(), "{bad}");
+        }
+        let loose = [("sched_tick", "t_s"), ("sched_tick", "running")];
+        let wide =
+            r#"{"kind":"sched_tick","t_s":null,"running":18446744073709551615,"outstanding":3}"#;
+        assert_eq!(check(wide, &loose), Ok("sched_tick"));
     }
 
     #[test]

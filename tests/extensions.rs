@@ -4,7 +4,8 @@
 use hecmix_core::config::ConfigSpace;
 use hecmix_core::pareto::ParetoFrontier;
 use hecmix_core::persist;
-use hecmix_core::sweep::{sweep_frontier_pruned, sweep_space, EvaluatedConfig};
+use hecmix_core::rate_table::stream_frontier_pruned;
+use hecmix_core::sweep::{sweep_space, EvaluatedConfig};
 use hecmix_experiments::lab::Lab;
 use hecmix_workloads::ep::Ep;
 use hecmix_workloads::memcached::Memcached;
@@ -61,7 +62,7 @@ fn pruned_sweep_at_paper_scale() {
                 .map(EvaluatedConfig::to_pareto_point)
                 .collect(),
         );
-        let (pruned, stats) = sweep_frontier_pruned(&space, &models, units).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &models, units).unwrap();
         assert_eq!(stats.full_space, 36_380);
         assert!(
             stats.evaluated_configs < 40_000 / 10,

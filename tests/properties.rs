@@ -177,7 +177,8 @@ proptest! {
         io in prop_oneof![Just(0.0f64), 64.0f64..2048.0],
         w in 1e4f64..1e7,
     ) {
-        use hecmix_core::sweep::{sweep_frontier, sweep_frontier_pruned};
+        use hecmix_core::rate_table::stream_frontier_pruned;
+        use hecmix_core::sweep::sweep_frontier;
         let (arm, amd) = platforms();
         let space = ConfigSpace::new(vec![
             TypeBounds { platform: arm, max_nodes: max_arm },
@@ -185,7 +186,7 @@ proptest! {
         ]);
         let ms = models(i_arm, i_amd, io);
         let full = sweep_frontier(&space, &ms, w).unwrap();
-        let (pruned, stats) = sweep_frontier_pruned(&space, &ms, w).unwrap();
+        let (pruned, stats) = stream_frontier_pruned(&space, &ms, w).unwrap();
         prop_assert!(stats.evaluated_configs <= stats.full_space);
         for p in &full.points {
             let got = pruned.min_energy_for_deadline(p.time_s).unwrap();
