@@ -467,8 +467,8 @@ pub struct AppState {
     /// The live job scheduler behind `POST /submit` / `GET /jobz`;
     /// without one, both endpoints answer 503.
     sched: RwLock<Option<Arc<OnlineSched>>>,
-    /// Counters and histograms, updated by I/O loops, the compute pool,
-    /// and the accept thread.
+    /// Counters and histograms, updated by the I/O loops and the compute
+    /// pool.
     pub metrics: Metrics,
 }
 
@@ -584,27 +584,33 @@ impl AppState {
         }
     }
 
-    fn route_compute(&self, req: &Request) -> Routed {
-        let t0 = Instant::now();
-        let v = match parse_body(&req.body) {
-            Ok(v) => v,
-            Err(resp) => return Routed::ready(resp),
-        };
+    /// Parse and validate one plan-family request against a store
+    /// snapshot and derive its plan-cache key: `(key, spec, ctx, store)`,
+    /// or the error answer.
+    fn classify(
+        &self,
+        req: &Request,
+    ) -> Result<(u64, ComputeSpec, RespCtx, Arc<ModelStore>), Response> {
+        let v = parse_body(&req.body)?;
         let store = self.store();
-        let parsed = match req.path.as_str() {
+        let (spec, ctx) = match req.path.as_str() {
             "/plan" => parse_plan(&store, &v),
             "/frontier" => parse_frontier(&store, &v),
             _ => parse_whatif(&store, &v),
-        };
-        let (spec, ctx) = match parsed {
-            Ok(p) => p,
-            Err(resp) => return Routed::ready(resp),
-        };
+        }?;
         let hash = store
             .get(spec.workload())
             .map(|e| e.hash)
             .unwrap_or_default();
-        let key = spec.key(hash);
+        Ok((spec.key(hash), spec, ctx, store))
+    }
+
+    fn route_compute(&self, req: &Request) -> Routed {
+        let t0 = Instant::now();
+        let (key, spec, ctx, store) = match self.classify(req) {
+            Ok(c) => c,
+            Err(resp) => return Routed::ready(resp),
+        };
         if let Some(hit) = self.cache.get(key) {
             // Elapsed covers parse + lookup only: response serialization
             // costs the same on hits and misses, so including it would
@@ -627,29 +633,14 @@ impl AppState {
     /// gateway keeps no plan cache of its own — the replicas' sharded
     /// LRUs *are* the cache, partitioned by this key.
     fn route_forward(&self, req: &Request) -> Routed {
-        let v = match parse_body(&req.body) {
-            Ok(v) => v,
-            Err(resp) => return Routed::ready(resp),
-        };
-        let store = self.store();
-        let parsed = match req.path.as_str() {
-            "/plan" => parse_plan(&store, &v),
-            "/frontier" => parse_frontier(&store, &v),
-            _ => parse_whatif(&store, &v),
-        };
-        let (spec, ctx) = match parsed {
-            Ok(p) => p,
-            Err(resp) => return Routed::ready(resp),
-        };
-        let hash = store
-            .get(spec.workload())
-            .map(|e| e.hash)
-            .unwrap_or_default();
-        Routed::Forward(PendingForward {
-            key: spec.key(hash),
-            path: ctx.path(),
-            body: String::from_utf8_lossy(&req.body).into_owned(),
-        })
+        match self.classify(req) {
+            Ok((key, _spec, ctx, _store)) => Routed::Forward(PendingForward {
+                key,
+                path: ctx.path(),
+                body: String::from_utf8_lossy(&req.body).into_owned(),
+            }),
+            Err(resp) => Routed::ready(resp),
+        }
     }
 
     /// Execute one plan computation and memoize it. Runs on a compute

@@ -2,33 +2,38 @@
 //!
 //! Each loop owns a `poll(2)`-backed [`poll::Poller`] and a map of
 //! nonblocking connections keyed by a loop-local, monotonically increasing
-//! token. The loop's whole job is bounded-time plumbing:
+//! token. Loop 0 also owns the listening socket, registered under a
+//! reserved token. The loop's whole job is bounded-time plumbing:
 //!
-//! 1. wait for readiness (or a mailbox notify from the accept thread or
-//!    compute pool),
+//! 1. wait for readiness (or a mailbox notify from loop 0 or the compute
+//!    pool),
 //! 2. drain the mailbox — register new connections, write out computed
 //!    responses for parked waiters,
-//! 3. for each readable connection, read to `WouldBlock`, incrementally
+//! 3. on loop 0, accept every pending connection: past `max_connections`
+//!    answer `503` + `Retry-After` and close, otherwise hand the sockets
+//!    round-robin to the loops (loop 0 keeps its own share),
+//! 4. for each readable connection, read to `WouldBlock`, incrementally
 //!    parse ([`http::try_parse`]), and route: cache hits and reads are
 //!    answered in place, cache misses join the single-flight registry and
 //!    *park* the connection (`busy`, fd stays registered) while the pool
 //!    computes,
-//! 4. flush partially written responses when sockets become writable,
-//! 5. periodically retire idle keep-alive connections.
+//! 5. flush partially written responses when sockets become writable,
+//! 6. periodically retire idle keep-alive connections.
 //!
 //! Tokens are never reused, so a response delivered for a connection that
 //! has since closed (for example a coalescing leader that hung up
 //! mid-compute) simply misses the map and is dropped — no dangling-socket
 //! hazard, no stranded follower.
 //!
-//! During drain the loop answers everything already parsed or in flight
-//! (with `Connection: close`), sheds *new* computes with 503 so the job
-//! queue can empty, closes idle connections, and exits once its map is
-//! empty.
+//! During drain loop 0 first drops the listener, so new connects are
+//! refused at once. Every loop answers everything already parsed or in
+//! flight (with `Connection: close`), sheds *new* computes with 503 so the
+//! job queue can empty, closes idle connections, and exits once its map
+//! is empty.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,6 +48,8 @@ use crate::server::{Job, Msg, Shared, Waiter};
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
 /// Poll timeout: the liveness backstop for shutdown and idle sweeps.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
+/// The listener's poller token; connection tokens count up from 0.
+const LISTENER: usize = usize::MAX;
 
 /// One multiplexed connection.
 struct Conn {
@@ -83,17 +90,21 @@ impl Conn {
     }
 }
 
-/// Entry point for one I/O thread.
-pub(crate) fn io_loop(shared: &Shared, idx: usize) {
-    IoLoop {
+/// Entry point for one I/O thread; the loop handed the nonblocking
+/// `listener` accepts for every loop.
+pub(crate) fn io_loop(shared: &Shared, idx: usize, listener: Option<TcpListener>) {
+    let mut io = IoLoop {
         idx,
         shared,
         conns: HashMap::new(),
         next_token: 0,
         events: Vec::new(),
         last_sweep: Instant::now(),
-    }
-    .run();
+        listener,
+        next_loop: 0,
+    };
+    io.arm_listener();
+    io.run();
 }
 
 struct IoLoop<'a> {
@@ -103,6 +114,11 @@ struct IoLoop<'a> {
     next_token: usize,
     events: Vec<poll::Event>,
     last_sweep: Instant,
+    /// Loop 0's listening socket; an accept error deregisters it until
+    /// the next idle sweep re-arms it.
+    listener: Option<TcpListener>,
+    /// Round-robin cursor over the loops for admitted connections.
+    next_loop: usize,
 }
 
 enum FlushOutcome {
@@ -122,6 +138,10 @@ impl IoLoop<'_> {
     fn run(&mut self) {
         loop {
             if self.shared.shutting_down() {
+                // Dropping the listener refuses new connects at once.
+                if let Some(listener) = self.listener.take() {
+                    let _ = self.poller().delete(&listener);
+                }
                 self.drain_tick();
                 if self.conns.is_empty() {
                     break;
@@ -177,8 +197,8 @@ impl IoLoop<'_> {
         match msg {
             Msg::Conn(stream) => {
                 if draining {
-                    // Admitted by the accept thread just before the flag
-                    // flipped; refuse rather than start new work.
+                    // Admitted by loop 0 just before the flag flipped;
+                    // refuse rather than start new work.
                     self.shared
                         .state
                         .metrics
@@ -186,21 +206,7 @@ impl IoLoop<'_> {
                         .fetch_sub(1, Ordering::Relaxed);
                     return;
                 }
-                let token = self.next_token;
-                self.next_token += 1;
-                if self
-                    .poller()
-                    .add(&stream, poll::Event::readable(token))
-                    .is_err()
-                {
-                    self.shared
-                        .state
-                        .metrics
-                        .connections
-                        .fetch_sub(1, Ordering::Relaxed);
-                    return;
-                }
-                self.conns.insert(token, Conn::new(stream));
+                self.register(stream);
             }
             Msg::Response {
                 token,
@@ -225,7 +231,97 @@ impl IoLoop<'_> {
         }
     }
 
+    /// Register an admitted connection (already counted in
+    /// `connections`) with this loop; `None` if the poller refused it.
+    fn register(&mut self, stream: TcpStream) -> Option<usize> {
+        let token = self.next_token;
+        self.next_token += 1;
+        if self
+            .poller()
+            .add(&stream, poll::Event::readable(token))
+            .is_err()
+        {
+            self.shared
+                .state
+                .metrics
+                .connections
+                .fetch_sub(1, Ordering::Relaxed);
+            return None;
+        }
+        self.conns.insert(token, Conn::new(stream));
+        Some(token)
+    }
+
+    /// (Re-)register the listener, if this loop owns one.
+    fn arm_listener(&self) {
+        if let Some(listener) = &self.listener {
+            let _ = self.poller().add(listener, poll::Event::readable(LISTENER));
+        }
+    }
+
+    /// Accept until the backlog is empty.
+    fn accept_all(&mut self) {
+        loop {
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _peer)) => self.admit(stream),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    // `EMFILE`, `ENFILE` and the like leave the connection
+                    // queued, so the level-triggered poller would report
+                    // the listener ready again at once. Stand it down
+                    // until the next idle sweep instead of spinning.
+                    let _ = self.poller().delete(listener);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Admission control for one accepted socket: past `max_connections`
+    /// it is answered `503` + `Retry-After` and closed here, so overload is
+    /// visible at once; otherwise it goes to the next loop in turn.
+    fn admit(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let connections = &self.shared.state.metrics.connections;
+        let over_cap = connections.load(Ordering::Relaxed) >= self.shared.config.max_connections;
+        // Counted until closed, like any connection, so `close` balances it.
+        connections.fetch_add(1, Ordering::Relaxed);
+        if !over_cap {
+            let target = self.next_loop % self.shared.loops.len();
+            self.next_loop += 1;
+            if target != self.idx {
+                self.shared.loops[target].send(Msg::Conn(stream));
+                return;
+            }
+        }
+        let Some(token) = self.register(stream) else {
+            return;
+        };
+        if over_cap {
+            let mut resp = self.shared.reject("connection limit reached");
+            resp.close = true;
+            self.send(token, resp, false);
+        }
+    }
+
     fn on_event(&mut self, ev: poll::Event, draining: bool) {
+        if ev.key == LISTENER {
+            if !draining {
+                self.accept_all();
+            }
+            return;
+        }
         if !self.conns.contains_key(&ev.key) {
             return;
         }
@@ -358,27 +454,12 @@ impl IoLoop<'_> {
                     coalesced: !leader,
                 });
                 if is_leader {
-                    let job = Job::Compute {
+                    self.shared.enqueue(Job::Compute {
                         key,
                         spec,
                         store,
                         enqueued: Instant::now(),
-                    };
-                    match self.shared.jobs.push(job) {
-                        Ok(()) => {
-                            state
-                                .metrics
-                                .queue_depth
-                                .store(self.shared.jobs.depth(), Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // Backpressure: fail the flight we just opened
-                            // (it holds only this request) via the mailbox.
-                            for waiter in self.shared.flight.complete(key) {
-                                self.shared.shed(waiter, "compute queue full");
-                            }
-                        }
-                    }
+                    });
                 } else {
                     state.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
                     emit(|| Event::RequestCoalesced {
@@ -391,83 +472,59 @@ impl IoLoop<'_> {
                 }
             }
             Routed::Forward(pf) => {
-                if draining {
-                    self.shed_now(token, start, pf.path, draining);
-                    return;
-                }
                 let PendingForward { key, path, body } = pf;
-                let waiter = Waiter {
-                    loop_idx: self.idx,
-                    token,
-                    ctx: RespCtx::Proxy(path),
-                    store: state.store(),
-                    start,
-                    coalesced: false,
-                };
-                let job = Job::Forward {
-                    waiter,
-                    key,
-                    body,
-                    enqueued: Instant::now(),
-                };
-                if let Err(job) = self.shared.jobs.push(job) {
-                    if let Job::Forward { waiter, .. } = job {
-                        self.shared.shed(waiter, "compute queue full");
+                self.park(token, start, RespCtx::Proxy(path), draining, |waiter| {
+                    Job::Forward {
+                        waiter,
+                        key,
+                        body,
+                        enqueued: Instant::now(),
                     }
-                } else {
-                    state
-                        .metrics
-                        .queue_depth
-                        .store(self.shared.jobs.depth(), Ordering::Relaxed);
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.busy = true;
-                }
+                });
             }
             Routed::Reload => {
-                if draining {
-                    self.shed_now(token, start, "/reload", draining);
-                    return;
-                }
-                let waiter = Waiter {
-                    loop_idx: self.idx,
-                    token,
-                    ctx: RespCtx::Reload,
-                    store: state.store(),
-                    start,
-                    coalesced: false,
-                };
-                if let Err(job) = self.shared.jobs.push(Job::Reload { waiter }) {
-                    if let Job::Reload { waiter } = job {
-                        self.shared.shed(waiter, "compute queue full");
-                    }
-                } else {
-                    state
-                        .metrics
-                        .queue_depth
-                        .store(self.shared.jobs.depth(), Ordering::Relaxed);
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.busy = true;
-                }
+                self.park(token, start, RespCtx::Reload, draining, |waiter| {
+                    Job::Reload { waiter }
+                });
             }
+        }
+    }
+
+    /// Park `token` on a pool job answered to this one waiter (a gateway
+    /// forward or a reload). A full queue sheds it with a 503; so does
+    /// drain, without touching the queue.
+    fn park(
+        &mut self,
+        token: usize,
+        start: Instant,
+        ctx: RespCtx,
+        draining: bool,
+        job: impl FnOnce(Waiter) -> Job,
+    ) {
+        if draining {
+            self.shed_now(token, start, ctx.path(), draining);
+            return;
+        }
+        let waiter = Waiter {
+            loop_idx: self.idx,
+            token,
+            ctx,
+            store: self.shared.state.store(),
+            start,
+            coalesced: false,
+        };
+        self.shared.enqueue(job(waiter));
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.busy = true;
         }
     }
 
     /// Answer a compute-needing request with 503 during drain, without
     /// touching the (already draining) job queue.
     fn shed_now(&mut self, token: usize, start: Instant, path: &'static str, draining: bool) {
-        let state = Arc::clone(&self.shared.state);
-        state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        let retry_after_s = self.shared.config.retry_after_s;
-        let queue_depth = self.shared.jobs.depth();
-        emit(|| Event::RequestRejected {
-            queue_depth,
-            retry_after_s,
-        });
-        let mut resp = Response::error(503, "draining");
-        resp.retry_after_s = Some(retry_after_s);
+        let mut resp = self.shared.reject("draining");
         resp.close = true;
+        let state = Arc::clone(&self.shared.state);
         state.record_done(self.idx, path, &resp, start.elapsed(), false);
         self.send(token, resp, draining);
     }
@@ -550,6 +607,7 @@ impl IoLoop<'_> {
             return;
         }
         self.last_sweep = Instant::now();
+        self.arm_listener();
         // Slowloris guard: a connection that has held a partial request
         // head past the deadline is answered 408 and closed. (`busy` and
         // pending-write connections are excluded — they are making

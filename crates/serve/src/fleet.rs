@@ -40,7 +40,6 @@
 
 use std::collections::HashSet;
 use std::collections::VecDeque;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -912,15 +911,9 @@ fn attempt_once(
     let _ = conn.set_nodelay(true);
     conn.set_read_timeout(Some(read_timeout))
         .map_err(|e| format!("timeout: {e}"))?;
-    conn.write_all(http::format_request(method, path, body).as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
     let (status, headers, resp_body) =
-        http::read_response(&mut conn).map_err(|e| format!("read: {e:?}"))?;
-    let retry_after = headers
-        .iter()
-        .find(|(k, _)| k == "retry-after")
-        .and_then(|(_, v)| v.trim().parse().ok());
-    Ok((status, retry_after, resp_body))
+        http::exchange(&mut conn, method, path, body).map_err(|e| format!("exchange: {e:?}"))?;
+    Ok((status, http::retry_after_s(&headers), resp_body))
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 //! The server side parses **incrementally** via [`try_parse`]: the event
 //! loop appends whatever the nonblocking socket yields to a per-connection
 //! buffer and asks whether a complete request is in it yet — no thread
-//! ever blocks on a slow or idle peer. The blocking [`read_request`] path
-//! remains for tests and simple tools; the client half
-//! ([`read_response`]/[`format_request`]) is used by the load generator.
+//! ever blocks on a slow or idle peer. The blocking client half
+//! ([`exchange`], built on [`format_request`]/[`read_response`]) is shared
+//! by the gateway's upstream attempts, the load generator, and the tests.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -54,68 +54,6 @@ impl Request {
     pub fn wants_close(&self) -> bool {
         matches!(self.header("connection"), Some(v) if v.eq_ignore_ascii_case("close"))
     }
-}
-
-/// Why a request could not be read.
-#[derive(Debug)]
-pub enum ReadError {
-    /// The peer closed the connection before sending any bytes — the
-    /// normal end of a keep-alive session, not an error.
-    Closed,
-    /// The socket read timed out (idle keep-alive connection or a stalled
-    /// sender).
-    TimedOut,
-    /// The bytes on the wire were not a well-formed request, or exceeded
-    /// the head/body caps.
-    Malformed(String),
-    /// Transport failure.
-    Io(io::Error),
-}
-
-/// Read and parse one request from `stream`. Blocking; honors the stream's
-/// configured read timeout.
-///
-/// # Errors
-/// See [`ReadError`]; `Closed` on clean EOF before the first byte.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::Malformed("request head too large".into()));
-        }
-        let n = stream.read(&mut chunk).map_err(classify_io)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(ReadError::Closed);
-            }
-            return Err(ReadError::Malformed("EOF inside request head".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-
-    let (method, path, headers) = parse_head(&buf[..head_end]).map_err(ReadError::Malformed)?;
-    let content_length = parse_content_length(&headers).map_err(ReadError::Malformed)?;
-
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(classify_io)?;
-        if n == 0 {
-            return Err(ReadError::Malformed("EOF inside request body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
 }
 
 /// Try to parse one complete request from the front of `buf` (the event
@@ -204,13 +142,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn classify_io(e: io::Error) -> ReadError {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ReadError::TimedOut,
-        _ => ReadError::Io(e),
-    }
-}
-
 /// One response to write. Always JSON-bodied (the API speaks nothing
 /// else). `Clone` so a single-flight error can answer every waiter.
 #[derive(Debug, Clone)]
@@ -270,16 +201,6 @@ impl Response {
         out.push_str(&self.body);
         out.into_bytes()
     }
-
-    /// Serialize and send the whole response as a single `write_all`
-    /// (blocking; used for admission rejections and by tests).
-    ///
-    /// # Errors
-    /// Propagates the underlying socket error.
-    pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
-        stream.write_all(&self.to_bytes())?;
-        stream.flush()
-    }
 }
 
 /// Reason phrase for the status codes the daemon emits.
@@ -302,7 +223,7 @@ pub fn status_text(status: u16) -> &'static str {
 pub type ClientResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
 /// Client-side half: read one response, returning `(status, headers,
-/// body)`. Used by the load generator and the integration tests.
+/// body)`.
 ///
 /// # Errors
 /// I/O errors and malformed responses surface as `io::Error`.
@@ -355,13 +276,38 @@ pub fn read_response(stream: &mut TcpStream) -> io::Result<ClientResponse> {
     Ok((status, headers, body))
 }
 
-/// Format a request the way the load generator sends them.
+/// Format a request the way every client in the workspace sends them.
 #[must_use]
 pub fn format_request(method: &str, path: &str, body: &str) -> String {
     format!(
         "{method} {path} HTTP/1.1\r\nHost: hecmix\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
+}
+
+/// One blocking request/response exchange on `stream`: send the request,
+/// read the answer. Honors the stream's configured read timeout.
+///
+/// # Errors
+/// Socket errors and malformed responses surface as `io::Error`.
+pub fn exchange(
+    stream: &mut TcpStream,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> io::Result<ClientResponse> {
+    stream.write_all(format_request(method, path, body).as_bytes())?;
+    read_response(stream)
+}
+
+/// The `Retry-After` seconds in a response's lowercased `headers`, when
+/// present and numeric.
+#[must_use]
+pub fn retry_after_s(headers: &[(String, String)]) -> Option<u64> {
+    headers
+        .iter()
+        .find(|(k, _)| k == "retry-after")
+        .and_then(|(_, v)| v.trim().parse().ok())
 }
 
 #[cfg(test)]
@@ -425,5 +371,14 @@ mod tests {
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"busy\"}"));
+    }
+
+    #[test]
+    fn retry_after_is_read_from_lowercased_headers() {
+        let h = |v: &str| vec![("retry-after".to_owned(), v.to_owned())];
+        assert_eq!(retry_after_s(&h("7")), Some(7));
+        assert_eq!(retry_after_s(&h(" 2 ")), Some(2));
+        assert_eq!(retry_after_s(&h("soon")), None);
+        assert_eq!(retry_after_s(&[]), None);
     }
 }

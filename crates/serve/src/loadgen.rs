@@ -313,23 +313,6 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// One request/response exchange; returns `(status, retry_after_s, body)`.
-fn exchange(
-    conn: &mut TcpStream,
-    path: &str,
-    body: &str,
-) -> std::io::Result<(u16, Option<u64>, Vec<u8>)> {
-    use std::io::Write as _;
-    let wire = http::format_request("POST", path, body);
-    conn.write_all(wire.as_bytes())?;
-    let (status, headers, resp_body) = http::read_response(conn)?;
-    let retry_after = headers
-        .iter()
-        .find(|(k, _)| k == "retry-after")
-        .and_then(|(_, v)| v.parse().ok());
-    Ok((status, retry_after, resp_body))
-}
-
 /// Total 503 retries allowed per ticket before it counts as an error.
 const MAX_503_RETRIES: u32 = 32;
 
@@ -425,7 +408,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                     }
                 }
             };
-            match exchange(c, path, &body) {
+            match http::exchange(c, "POST", path, &body) {
                 Ok((200, _, resp_body)) => {
                     out.ok += 1;
                     out.samples.push(Sample {
@@ -441,7 +424,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                     }
                     break;
                 }
-                Ok((503, retry_after, _)) => {
+                Ok((503, headers, _)) => {
                     // Admission control asked us to back off; honor it
                     // (capped — Retry-After is in whole seconds), jittered
                     // per ticket so every worker that got the same
@@ -451,7 +434,7 @@ fn worker(cfg: &LoadgenConfig, tickets: &AtomicU64, start: Instant) -> WorkerOut
                     out.rejected_retries += 1;
                     conn = None;
                     backoffs += 1;
-                    match retry_503_wait_ms(ticket, backoffs, retry_after) {
+                    match retry_503_wait_ms(ticket, backoffs, http::retry_after_s(&headers)) {
                         Some(wait) => std::thread::sleep(Duration::from_millis(wait)),
                         None => {
                             out.errors += 1;
@@ -589,11 +572,8 @@ fn aggregate(outs: Vec<WorkerOut>, sent: u64, wall_s: f64, warmup_s: f64) -> Loa
 
 /// Scraped slice of `GET /statz`.
 fn scrape_statz(addr: &str) -> Option<ServerDelta> {
-    use std::io::Write as _;
     let mut conn = connect(addr).ok()?;
-    conn.write_all(http::format_request("GET", "/statz", "").as_bytes())
-        .ok()?;
-    let (status, _headers, body) = http::read_response(&mut conn).ok()?;
+    let (status, _headers, body) = http::exchange(&mut conn, "GET", "/statz", "").ok()?;
     if status != 200 {
         return None;
     }

@@ -1,14 +1,14 @@
-//! The daemon: accept thread, readiness-based I/O loops, compute pool.
+//! The daemon: readiness-based I/O loops and a compute pool.
 //!
 //! Threading model (one picture):
 //!
 //! ```text
-//!              ┌──────────┐  round-robin   ┌───────────────┐
-//!  TCP ───────▶│  accept  │ ─────────────▶ │  I/O loop 0…I │◀── poll(2) readiness
-//!  clients     │  thread  │  > max conns   │ (nonblocking, │     over every
-//!              └──────────┘  → 503 + R-A   │  many conns)  │     registered conn
-//!                                          └──────┬────────┘
-//!                             cache miss → single-flight join
+//!              ┌───────────────┐  round-robin  ┌───────────────┐
+//!  TCP ───────▶│  I/O loop 0   │ ────────────▶ │  I/O loop 1…I │◀── poll(2) readiness
+//!  clients     │ (listener +   │   mailbox     │ (nonblocking, │     over every
+//!              │  its share)   │               │  many conns)  │     registered conn
+//!              └──────┬────────┘               └──────┬────────┘
+//!     > max conns → 503 + R-A     cache miss → single-flight join
 //!                                          ┌──────▼────────┐
 //!                                          │ bounded job   │  full? → 503
 //!                                          │ queue + cv    │
@@ -19,11 +19,12 @@
 //!                                                              via the loop mailbox
 //! ```
 //!
-//! * The **accept thread** is the admission controller: past
+//! * **I/O loop 0** owns the nonblocking listener, registered with its
+//!   poller like any connection, and is the admission controller: past
 //!   `max_connections` it answers `503 Service Unavailable` with
-//!   `Retry-After` itself, so overload is visible to clients immediately.
-//!   Admitted sockets are made nonblocking and round-robined across the
-//!   I/O loops.
+//!   `Retry-After` through its own nonblocking write path and closes, so
+//!   overload is visible to clients immediately. Admitted sockets are
+//!   round-robined across the I/O loops (loop 0 keeps its share).
 //! * Each **I/O loop** (the private `event_loop` module) multiplexes hundreds to
 //!   thousands of keep-alive connections over one `poll(2)` registration
 //!   set. Everything it does is bounded-time: parse, cache lookup, format,
@@ -41,12 +42,12 @@
 //!   503s the whole flight immediately — backpressure, not backlog) and
 //!   sheds jobs that waited past `queue_deadline`. `POST /reload` runs
 //!   here too, so a model rebuild + cache warm never stalls an I/O loop.
-//! * **Shutdown** is a relaxed [`AtomicBool`] plus a wakeup broadcast: the
-//!   accept thread closes the listener, I/O loops answer whatever is
-//!   parsed or in flight (with `Connection: close`), shed new computes,
-//!   and retire idle connections; the pool drains every queued job so no
-//!   parked waiter is ever stranded. [`ServerHandle::join`] returns when
-//!   every thread is gone.
+//! * **Shutdown** is a relaxed [`AtomicBool`] plus a wakeup broadcast:
+//!   loop 0 drops the listener, I/O loops answer whatever is parsed or in
+//!   flight (with `Connection: close`), shed new computes, and retire idle
+//!   connections; the pool drains every queued job so no parked waiter is
+//!   ever stranded. [`ServerHandle::join`] returns when every thread is
+//!   gone.
 
 use std::collections::VecDeque;
 use std::io;
@@ -206,7 +207,7 @@ impl JobQueue {
     // The large Err is the point: a shed job returns to the caller so the
     // waiter inside it can be answered 503 — boxing would be pure churn.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn push(&self, job: Job) -> Result<(), Job> {
+    fn push(&self, job: Job) -> Result<(), Job> {
         let mut q = self.q.lock().expect("job queue poisoned");
         if q.len() >= self.capacity {
             return Err(job);
@@ -248,7 +249,7 @@ impl JobQueue {
     }
 }
 
-/// Everything the accept thread, I/O loops, and compute pool share.
+/// Everything the I/O loops and compute pool share.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) state: Arc<AppState>,
@@ -274,8 +275,9 @@ impl Shared {
         });
     }
 
-    /// Shed one waiter with a 503 (queue full, queue deadline, or drain).
-    pub(crate) fn shed(&self, waiter: Waiter, why: &str) {
+    /// Count and trace one rejection, and build its `503` with
+    /// `Retry-After`.
+    pub(crate) fn reject(&self, why: &str) -> Response {
         self.state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
         let retry_after_s = self.config.retry_after_s;
         let queue_depth = self.jobs.depth();
@@ -285,7 +287,34 @@ impl Shared {
         });
         let mut resp = Response::error(503, why);
         resp.retry_after_s = Some(retry_after_s);
+        resp
+    }
+
+    /// Shed one waiter with a 503 (queue full, queue deadline, or drain).
+    pub(crate) fn shed(&self, waiter: Waiter, why: &str) {
+        let resp = self.reject(why);
         self.deliver(waiter, resp, false);
+    }
+
+    /// Queue `job` for the pool and publish the new depth. A full queue
+    /// is backpressure: every waiter the job would have answered gets a
+    /// 503 through its mailbox (a just-opened flight holds only its
+    /// leader).
+    pub(crate) fn enqueue(&self, job: Job) {
+        let why = "compute queue full";
+        match self.jobs.push(job) {
+            Ok(()) => self
+                .state
+                .metrics
+                .queue_depth
+                .store(self.jobs.depth(), Ordering::Relaxed),
+            Err(Job::Compute { key, .. }) => {
+                for waiter in self.flight.complete(key) {
+                    self.shed(waiter, why);
+                }
+            }
+            Err(Job::Forward { waiter, .. } | Job::Reload { waiter }) => self.shed(waiter, why),
+        }
     }
 }
 
@@ -294,7 +323,6 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     io: Vec<JoinHandle<()>>,
     compute: Vec<JoinHandle<()>>,
 }
@@ -337,9 +365,6 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`].
     pub fn join(mut self) {
         self.shutdown();
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
         for t in self.compute.drain(..) {
             let _ = t.join();
         }
@@ -349,8 +374,8 @@ impl ServerHandle {
     }
 }
 
-/// Bind, spawn the I/O loops, compute pool, and accept thread, and return
-/// the handle.
+/// Bind, spawn the I/O loops (loop 0 accepts) and the compute pool, and
+/// return the handle.
 ///
 /// # Errors
 /// Propagates bind/poller/thread-spawn I/O errors.
@@ -385,89 +410,23 @@ pub fn start(config: ServeConfig, state: Arc<AppState>) -> io::Result<ServerHand
     }
 
     let mut io = Vec::with_capacity(io_threads);
+    let mut listener = Some(listener);
     for idx in 0..io_threads {
         let shared = Arc::clone(&shared);
+        let listener = listener.take();
         io.push(
             std::thread::Builder::new()
                 .name(format!("hecmix-io-{idx}"))
-                .spawn(move || crate::event_loop::io_loop(&shared, idx))?,
+                .spawn(move || crate::event_loop::io_loop(&shared, idx, listener))?,
         );
     }
-
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("hecmix-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &shared))?
-    };
 
     Ok(ServerHandle {
         addr,
         shared,
-        accept: Some(accept),
         io,
         compute,
     })
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    let mut next = 0usize;
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let open = shared.state.metrics.connections.load(Ordering::Relaxed);
-                if open >= shared.config.max_connections {
-                    reject(stream, shared);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                shared
-                    .state
-                    .metrics
-                    .connections
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.loops[next % shared.loops.len()].send(Msg::Conn(stream));
-                next += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Nonblocking accept doubles as the shutdown poll point.
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Listener drops here: new connects are refused while everyone drains.
-    shared.jobs.wake_all();
-    for mailbox in &shared.loops {
-        let _ = mailbox.poller.notify();
-    }
-}
-
-/// Admission-control rejection: written by the accept thread itself so the
-/// client learns about overload with zero queueing delay.
-fn reject(mut stream: TcpStream, shared: &Shared) {
-    let retry_after_s = shared.config.retry_after_s;
-    let queue_depth = shared.jobs.depth();
-    shared
-        .state
-        .metrics
-        .rejected
-        .fetch_add(1, Ordering::Relaxed);
-    emit(|| Event::RequestRejected {
-        queue_depth,
-        retry_after_s,
-    });
-    // Accepted sockets inherit the listener's nonblocking mode; this one
-    // write is blocking on purpose (tiny, and the accept thread has
-    // nothing better to do under overload).
-    let _ = stream.set_nonblocking(false);
-    let mut resp = Response::error(503, "connection limit reached");
-    resp.retry_after_s = Some(retry_after_s);
-    resp.close = true;
-    let _ = resp.write_to(&mut stream);
 }
 
 /// One compute-pool thread: pull jobs until shutdown *and* empty, compute

@@ -1,13 +1,16 @@
 //! Admission control and graceful shutdown, over real sockets.
 //!
 //! The first test exercises the **connection cap**: past
-//! `max_connections`, the accept loop itself answers `503` with
-//! `Retry-After` instead of registering the socket — admitted connections
-//! never feel the overload. The second exercises the **drain protocol** in
-//! its hardest configuration: shutdown arrives while a coalesced compute
-//! (one leader, one single-flight follower) is still running on the pool.
-//! Both waiters must get real answers tagged `Connection: close`, every
-//! thread must exit within a bounded join, and the listener must be gone.
+//! `max_connections`, the I/O loop that owns the listener answers `503`
+//! with `Retry-After` and closes instead of serving the socket — admitted
+//! connections never feel the overload. The second exercises the **drain
+//! protocol** in its hardest configuration: shutdown arrives while a
+//! coalesced compute (one leader, one single-flight follower) is still
+//! running on the pool. Both waiters must get real answers tagged
+//! `Connection: close`, every thread must exit within a bounded join, and
+//! the listener must be gone. Further tests pin that a fresh connection
+//! is accepted without a polling delay and that drain refuses new
+//! connects before the loops exit.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -57,9 +60,7 @@ fn connect(handle: &ServerHandle) -> TcpStream {
 /// Send `GET /healthz` on `conn` and return `(status, retry_after,
 /// connection_header)`.
 fn healthz(conn: &mut TcpStream) -> (u16, Option<String>, Option<String>) {
-    conn.write_all(http::format_request("GET", "/healthz", "").as_bytes())
-        .expect("send");
-    let (status, headers, _body) = http::read_response(conn).expect("response");
+    let (status, headers, _body) = http::exchange(conn, "GET", "/healthz", "").expect("exchange");
     let find = |name: &str| {
         headers
             .iter()
@@ -89,8 +90,8 @@ fn connection_cap_gets_503_with_retry_after() {
     assert_eq!(healthz(&mut c1).0, 200);
     wait_until("both connections registered", || handle.connections() == 2);
 
-    // The third connection is rejected by the accept loop itself — it
-    // never reaches the event loop or the compute pool.
+    // The third connection is rejected at accept — it is never parsed
+    // and never reaches the compute pool.
     let mut c2 = connect(&handle);
     let (status, retry_after, connection) = healthz(&mut c2);
     assert_eq!(status, 503, "admission control must reject");
@@ -271,9 +272,7 @@ fn slowloris_partial_head_is_reaped_with_408() {
 
     // And the counter is visible in /statz.
     let mut c = connect(&handle);
-    c.write_all(http::format_request("GET", "/statz", "").as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(&mut c).expect("statz");
+    let (status, _headers, resp) = http::exchange(&mut c, "GET", "/statz", "").expect("statz");
     assert_eq!(status, 200);
     let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
     assert_eq!(
@@ -286,5 +285,66 @@ fn slowloris_partial_head_is_reaped_with_408() {
     );
 
     handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn fresh_connections_are_accepted_without_a_polling_delay() {
+    // Each round trip pays a connect, an accept, and one request. The
+    // listener sits on the I/O loop's poller, so the accept happens on
+    // readiness rather than at the next tick of a polling interval; the
+    // gateway pays this on every forward.
+    let (handle, _state) = small_daemon(ModelStore::new(), 64);
+    let mut rtts: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut conn = connect(&handle);
+            assert_eq!(healthz(&mut conn).0, 200);
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median fresh-connection round trip {median:?}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn drain_refuses_new_connects_before_the_loops_exit() {
+    let (handle, state) = small_daemon(build_store(), 64);
+    // A parked compute keeps the I/O loop alive well past the refusal. A
+    // coalesced follower proves the leader's job is already queued, so
+    // drain answers both rather than shedding them.
+    state.set_compute_delay(Duration::from_millis(1500));
+    let wire = http::format_request("POST", "/frontier", r#"{"workload":"ep","arm":3,"amd":2}"#);
+    let mut parked = [connect(&handle), connect(&handle)];
+    for conn in &mut parked {
+        conn.write_all(wire.as_bytes()).expect("send");
+    }
+    wait_until("follower to coalesce", || {
+        state
+            .metrics
+            .coalesced
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
+    });
+
+    let addr = handle.addr();
+    let t0 = Instant::now();
+    handle.shutdown();
+    wait_until("listener dropped", || TcpStream::connect(addr).is_err());
+    assert!(
+        t0.elapsed() < Duration::from_millis(1000),
+        "refused while the parked compute still runs, not at loop exit"
+    );
+
+    for conn in &mut parked {
+        let (status, _headers, _body) = http::read_response(conn).expect("parked answered");
+        assert_eq!(status, 200, "drain still answers the parked waiters");
+    }
     handle.join();
 }

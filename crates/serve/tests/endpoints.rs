@@ -5,7 +5,6 @@
 //! One daemon instance serves the whole file (building it characterizes a
 //! workload, which takes real time); tests share it via a `OnceLock`.
 
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -64,9 +63,7 @@ fn call(method: &str, path: &str, body: &str) -> (u16, Value) {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
-    conn.write_all(http::format_request(method, path, body).as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(&mut conn).expect("response");
+    let (status, _headers, resp) = http::exchange(&mut conn, method, path, body).expect("exchange");
     let text = std::str::from_utf8(&resp).expect("UTF-8 body");
     let value = json::parse(text).unwrap_or_else(|e| panic!("bad JSON ({e}): {text}"));
     (status, value)

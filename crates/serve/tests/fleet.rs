@@ -15,7 +15,6 @@
 //! 4. **Hedging** — a slow owner is raced by a hedge to another replica
 //!    after the configured delay, and the hedge wins.
 
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -139,9 +138,8 @@ fn key_for_arm(arm: u32) -> u64 {
 
 /// `(status, cached)` of one `/frontier` exchange on a keep-alive conn.
 fn frontier(conn: &mut TcpStream, body: &str) -> (u16, bool) {
-    conn.write_all(http::format_request("POST", "/frontier", body).as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(conn).expect("response");
+    let (status, _headers, resp) =
+        http::exchange(conn, "POST", "/frontier", body).expect("exchange");
     let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
     let cached = v.get("cached").and_then(Value::as_bool).unwrap_or(false);
     (status, cached)

@@ -33,9 +33,8 @@ fn connect(handle: &ServerHandle) -> TcpStream {
 
 fn call(handle: &ServerHandle, method: &str, path: &str, body: &str) -> u16 {
     let mut conn = connect(handle);
-    conn.write_all(http::format_request(method, path, body).as_bytes())
-        .expect("send");
-    let (status, _headers, _resp) = http::read_response(&mut conn).expect("response");
+    let (status, _headers, _resp) =
+        http::exchange(&mut conn, method, path, body).expect("exchange");
     status
 }
 

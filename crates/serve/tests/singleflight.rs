@@ -53,9 +53,8 @@ fn connect(handle: &ServerHandle) -> TcpStream {
 
 /// `(status, cached, coalesced)` of one `/frontier` exchange.
 fn frontier(conn: &mut TcpStream, body: &str) -> (u16, bool, bool) {
-    conn.write_all(http::format_request("POST", "/frontier", body).as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(conn).expect("response");
+    let (status, _headers, resp) =
+        http::exchange(conn, "POST", "/frontier", body).expect("exchange");
     let v = json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON");
     let flag = |k: &str| v.get(k).and_then(Value::as_bool).unwrap_or(false);
     (status, flag("cached"), flag("coalesced"))
@@ -63,9 +62,8 @@ fn frontier(conn: &mut TcpStream, body: &str) -> (u16, bool, bool) {
 
 fn statz(handle: &ServerHandle) -> Value {
     let mut conn = connect(handle);
-    conn.write_all(http::format_request("GET", "/statz", "").as_bytes())
-        .expect("send");
-    let (status, _headers, resp) = http::read_response(&mut conn).expect("response");
+    let (status, _headers, resp) =
+        http::exchange(&mut conn, "GET", "/statz", "").expect("exchange");
     assert_eq!(status, 200);
     json::parse(std::str::from_utf8(&resp).expect("UTF-8")).expect("JSON")
 }

@@ -657,25 +657,71 @@ fn cmd_sched(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
+/// The daemon flags `serve` and `gateway` share (`--addr`, `--io-threads`,
+/// `--workers`, `--queue`, `--max-conns`), zeros rejected.
+fn daemon_config(
+    flags: &HashMap<String, String>,
+    default_addr: &str,
+) -> Result<hecmix_serve::ServeConfig, ExitCode> {
     let defaults = hecmix_serve::ServeConfig::default();
     let addr = flags
         .get("addr")
         .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7077".to_owned());
-    let (Ok(io_threads), Ok(workers), Ok(queue), Ok(cache), Ok(max_conns)) = (
-        get_num::<usize>(flags, "io-threads", defaults.io_threads),
-        get_num::<usize>(flags, "workers", defaults.workers),
-        get_num::<usize>(flags, "queue", defaults.queue_capacity),
-        get_num::<usize>(flags, "cache", 256),
-        get_num::<usize>(flags, "max-conns", defaults.max_connections),
-    ) else {
+        .unwrap_or_else(|| default_addr.to_owned());
+    let io_threads = get_num::<usize>(flags, "io-threads", defaults.io_threads)?;
+    let workers = get_num::<usize>(flags, "workers", defaults.workers)?;
+    let queue_capacity = get_num::<usize>(flags, "queue", defaults.queue_capacity)?;
+    let max_connections = get_num::<usize>(flags, "max-conns", defaults.max_connections)?;
+    if io_threads == 0 || workers == 0 || queue_capacity == 0 || max_connections == 0 {
+        eprintln!("--io-threads, --workers, --queue, and --max-conns must be >= 1");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(hecmix_serve::ServeConfig {
+        addr,
+        io_threads,
+        workers,
+        queue_capacity,
+        max_connections,
+        ..defaults
+    })
+}
+
+/// Start the daemon (`what` names it in the start error), print the
+/// banner for its bound address, serve until SIGINT/SIGTERM, then drain
+/// and join.
+fn run_daemon(
+    config: hecmix_serve::ServeConfig,
+    state: std::sync::Arc<hecmix_serve::AppState>,
+    what: &str,
+    banner: impl FnOnce(std::net::SocketAddr, &hecmix_serve::ServeConfig),
+) -> ExitCode {
+    let handle = match hecmix_serve::start(config.clone(), state) {
+        Ok(h) => h,
+        Err(e) => {
+            eprintln!("cannot start {what}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    hecmix_serve::signal::install();
+    banner(handle.addr(), &config);
+    while !hecmix_serve::signal::interrupted() {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    eprintln!("signal received; draining in-flight requests");
+    handle.shutdown();
+    handle.join();
+    eprintln!("drained; bye");
+    ExitCode::SUCCESS
+}
+
+fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
+    let config = match daemon_config(flags, "127.0.0.1:7077") {
+        Ok(c) => c,
+        Err(c) => return c,
+    };
+    let Ok(cache) = get_num::<usize>(flags, "cache", 256) else {
         return ExitCode::FAILURE;
     };
-    if io_threads == 0 || workers == 0 || queue == 0 || max_conns == 0 {
-        eprintln!("--io-threads, --workers, --queue, and --max-conns must be >= 1");
-        return ExitCode::FAILURE;
-    }
 
     let sched_defaults = hecmix_serve::SchedParams::default();
     let (Ok(sched_alpha), Ok(sched_arm), Ok(sched_amd), Ok(sched_queue)) = (
@@ -704,43 +750,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
             None
         }
     };
-    let state = std::sync::Arc::new(hecmix_serve::AppState::new(store, io_threads, cache));
+    let state = std::sync::Arc::new(hecmix_serve::AppState::new(store, config.io_threads, cache));
     state.set_reload(reload);
     if let Some(s) = sched {
         state.set_sched(s);
     }
-    let config = hecmix_serve::ServeConfig {
-        addr,
-        io_threads,
-        workers,
-        queue_capacity: queue,
-        max_connections: max_conns,
-        ..defaults
-    };
-    let handle = match hecmix_serve::start(config, std::sync::Arc::clone(&state)) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot start daemon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    hecmix_serve::signal::install();
-    println!(
-        "hecmix-serve listening on http://{} ({io_threads} io threads, {workers} workers, \
-         queue {queue}, cache {cache}, max {max_conns} conns)",
-        handle.addr()
-    );
-    println!("workloads: {names}");
-    println!("endpoints: POST /plan /frontier /whatif /reload /submit — GET /healthz /statz /jobz");
-    while !hecmix_serve::signal::interrupted() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    eprintln!("signal received; draining in-flight requests");
-    handle.shutdown();
-    handle.join();
-    eprintln!("drained; bye");
-    ExitCode::SUCCESS
+    run_daemon(config, state, "daemon", |addr, c| {
+        println!(
+            "hecmix-serve listening on http://{addr} ({} io threads, {} workers, \
+             queue {}, cache {cache}, max {} conns)",
+            c.io_threads, c.workers, c.queue_capacity, c.max_connections
+        );
+        println!("workloads: {names}");
+        println!(
+            "endpoints: POST /plan /frontier /whatif /reload /submit — GET /healthz /statz /jobz"
+        );
+    })
 }
 
 fn cmd_gateway(flags: &HashMap<String, String>) -> ExitCode {
@@ -760,25 +785,14 @@ fn cmd_gateway(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let defaults = hecmix_serve::ServeConfig::default();
     let fleet_defaults = FleetConfig::default();
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7078".to_owned());
-    let (Ok(io_threads), Ok(workers), Ok(queue), Ok(max_conns), Ok(seed)) = (
-        get_num::<usize>(flags, "io-threads", defaults.io_threads),
-        get_num::<usize>(flags, "workers", defaults.workers),
-        get_num::<usize>(flags, "queue", defaults.queue_capacity),
-        get_num::<usize>(flags, "max-conns", defaults.max_connections),
-        get_num::<u64>(flags, "seed", fleet_defaults.seed),
-    ) else {
+    let config = match daemon_config(flags, "127.0.0.1:7078") {
+        Ok(c) => c,
+        Err(c) => return c,
+    };
+    let Ok(seed) = get_num::<u64>(flags, "seed", fleet_defaults.seed) else {
         return ExitCode::FAILURE;
     };
-    if io_threads == 0 || workers == 0 || queue == 0 || max_conns == 0 {
-        eprintln!("--io-threads, --workers, --queue, and --max-conns must be >= 1");
-        return ExitCode::FAILURE;
-    }
 
     // The gateway's store must come from the same model bundles the
     // replicas serve, so its routing keys equal their cache keys.
@@ -801,42 +815,20 @@ fn cmd_gateway(flags: &HashMap<String, String>) -> ExitCode {
     fleet.start_probing();
     let state = std::sync::Arc::new(hecmix_serve::AppState::new_gateway(
         store,
-        io_threads,
+        config.io_threads,
         std::sync::Arc::clone(&fleet),
     ));
     state.set_reload(reload);
-    let config = hecmix_serve::ServeConfig {
-        addr,
-        io_threads,
-        workers,
-        queue_capacity: queue,
-        max_connections: max_conns,
-        ..defaults
-    };
-    let handle = match hecmix_serve::start(config, std::sync::Arc::clone(&state)) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot start gateway: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    hecmix_serve::signal::install();
-    println!(
-        "hecmix gateway listening on http://{} routing {replica_count} replicas \
-         ({io_threads} io threads, {workers} forward workers, seed {seed})",
-        handle.addr()
-    );
-    println!("endpoints: POST /plan /frontier /whatif /reload — GET /healthz /statz");
-    while !hecmix_serve::signal::interrupted() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    eprintln!("signal received; draining in-flight requests");
-    handle.shutdown();
-    handle.join();
+    let code = run_daemon(config, state, "gateway", |addr, c| {
+        println!(
+            "hecmix gateway listening on http://{addr} routing {replica_count} replicas \
+             ({} io threads, {} forward workers, seed {seed})",
+            c.io_threads, c.workers
+        );
+        println!("endpoints: POST /plan /frontier /whatif /reload — GET /healthz /statz");
+    });
     fleet.stop();
-    eprintln!("drained; bye");
-    ExitCode::SUCCESS
+    code
 }
 
 fn cmd_fleetbench(flags: &HashMap<String, String>) -> ExitCode {
